@@ -1,7 +1,8 @@
 """efft: parallel one-dimensional real-input FFTs built from serial bins.
 
 One large transform is decomposed by s radix-2 splits into 2**s serial
-bin transforms, run and merged by a fork-join worker pool.  Typical use:
+bin transforms, run and then merged level by level on a worker pool.
+Typical use:
 
     import efft
 
@@ -18,20 +19,12 @@ from .core import (
     PermSpectrum,
     TransformHandle,
     TransformPlan,
-    data_view,
     handle_create,
     plan_create,
-    result_view,
 )
 from .leaf_dft import LeafKernel, Radix2LeafKernel, leaf_transform
 from .oracle import l2_norm, naive_dft, naive_dft_at, pack_perm
-from .recombine import (
-    TwiddleTile,
-    process_and_reassemble,
-    reassemble_pair_basic,
-    reassemble_pair_inplace,
-    run_transform,
-)
+from .recombine import reassemble_pair_basic, reassemble_pair_inplace, run_transform
 from .scatter import build_scatter_index, scatter
 
 __version__ = "0.1.0"
@@ -41,11 +34,9 @@ __all__ = [
     "RunMetrics",
     "TransformHandle",
     "TransformPlan",
-    "TwiddleTile",
     "LeafKernel",
     "Radix2LeafKernel",
     "build_scatter_index",
-    "data_view",
     "efficiency",
     "errors",
     "flops_model",
@@ -57,10 +48,8 @@ __all__ = [
     "pack_perm",
     "peak_memory_probe",
     "plan_create",
-    "process_and_reassemble",
     "reassemble_pair_basic",
     "reassemble_pair_inplace",
-    "result_view",
     "run_transform",
     "scatter",
 ]

@@ -53,13 +53,13 @@ def cmd_transform(input_path, output_path, n, splits, workers,
         return 1
     try:
         plan = plan_create(n, splits, workers, test_mode=test_mode)
+        with handle_create(plan) as handle:
+            handle.data[:] = signal
+            seconds = best_of_repeats(handle, repeats=1)
+            write_signal(output_path, handle.result)
     except EfftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with handle_create(plan) as handle:
-        handle.data[:] = signal
-        seconds = best_of_repeats(handle, repeats=1)
-        write_signal(output_path, handle.result)
     metrics = RunMetrics.from_timing(n, splits, workers, seconds,
                                      peak_mem_bytes=_mem_field(want_mem))
     print(CSV_HEADER)

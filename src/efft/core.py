@@ -186,16 +186,6 @@ def handle_create(plan: TransformPlan) -> TransformHandle:
     return TransformHandle(plan)
 
 
-def data_view(handle: TransformHandle) -> np.ndarray:
-    """Writable view of the handle's input buffer."""
-    return handle.data
-
-
-def result_view(handle: TransformHandle) -> np.ndarray:
-    """Read-only view of the handle's output buffer."""
-    return handle.result
-
-
 class PermSpectrum:
     """Interpretation of a length-M packed real buffer as M/2+1 coefficients."""
 

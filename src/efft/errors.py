@@ -43,3 +43,11 @@ class NonPositiveSize(EfftError, ValueError):
 
 class MissingBaseline(EfftError, ValueError):
     """Parallel efficiency needs a single-worker performance entry."""
+
+
+class HandleClosed(EfftError):
+    """A transform was requested on a handle that has been closed."""
+
+
+class NonFiniteInput(EfftError, ValueError):
+    """The input signal contains NaN or infinite values."""

@@ -1,45 +1,34 @@
-"""Fork-join worker pool used by the transform stages.
+"""Worker pool that runs the transform stages as flat batches of chunks.
 
-The pool implements spawn/join semantics with dynamic load balancing:
-pool threads pull the oldest pending task (breadth-first, so large
-subtrees migrate to idle workers), while a thread blocked in join() helps
-by running the newest pending task instead of sleeping.  A joined task
-that has not started yet is reclaimed and run by the joining thread
-itself, so recursion never deadlocks regardless of pool size.
+Every stage is one parallel_for over a list of independent chunks: the
+scatter tiles, the leaf bins, and then one batch per merge level.  The
+workers of a batch (the calling thread plus T-1 pool threads) claim chunk
+indices from the shared batch one at a time until none is left, so a slow
+chunk never holds up the others.  parallel_for returns, or raises the
+first error a chunk raised, only once every chunk has finished: a failed
+batch leaves nothing still writing into the caller's buffers.
 
-The calling thread counts as one worker: a pool created for T workers
-starts T-1 threads.  Correctness of client code must not depend on which
-worker runs which task; the stages only ever write disjoint buffer
-regions, so results are identical under any schedule.
+Correctness of client code must not depend on which worker runs which
+chunk; the stages only ever write disjoint buffer regions, so results are
+identical under any schedule.
 """
 
-import collections
 import threading
-
-_PENDING = 0
-_RUNNING = 1
-_DONE = 2
-
-
-class Task:
-    __slots__ = ("_fn", "_args", "_state", "_exc")
-
-    def __init__(self, fn, args):
-        self._fn = fn
-        self._args = args
-        self._state = _PENDING
-        self._exc = None
 
 
 class WorkerPool:
-    """A fixed set of workers executing spawned tasks until shutdown."""
+    """A fixed set of workers executing one parallel_for batch at a time."""
 
     def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("worker count must be >= 1")
         self.workers = workers
         self._cv = threading.Condition()
-        self._pending = collections.deque()
+        self._chunks = []
+        self._body = None
+        self._next = 0
+        self._unfinished = 0
+        self._error = None
         self._shutdown = False
         self._local = threading.local()
         self._threads = []
@@ -59,43 +48,30 @@ class WorkerPool:
         """
         return getattr(self._local, "slot", self.workers - 1)
 
-    def spawn(self, fn, *args) -> Task:
-        """Queue fn(*args) for parallel execution; returns a joinable task."""
-        task = Task(fn, args)
-        with self._cv:
-            self._pending.append(task)
-            self._cv.notify()
-        return task
-
-    def join(self, task: Task) -> None:
-        """Wait for task, executing other pending work while blocked."""
-        while True:
-            with self._cv:
-                if task._state == _DONE:
-                    break
-                if task._state == _PENDING:
-                    self._pending.remove(task)
-                    task._state = _RUNNING
-                    claimed = task
-                elif self._pending:
-                    claimed = self._pending.pop()
-                    claimed._state = _RUNNING
-                else:
-                    self._cv.wait()
-                    continue
-            self._run(claimed)
-        if task._exc is not None:
-            raise task._exc
-
     def parallel_for(self, chunks, body) -> None:
-        """Run body(*chunk) for every chunk, first chunk inline."""
+        """Run body(*chunk) for every chunk; return once all have finished.
+
+        If chunks raised, the first error is re-raised after the last chunk
+        has finished.  With one worker the calling thread runs the chunks
+        inline, in order.  The pool runs one batch at a time, so a body must
+        not call parallel_for, and neither may a second thread while a batch
+        runs; either raises RuntimeError.
+        """
         chunks = list(chunks)
-        if not chunks:
-            return
-        tasks = [self.spawn(body, *chunk) for chunk in chunks[1:]]
-        body(*chunks[0])
-        for task in tasks:
-            self.join(task)
+        with self._cv:
+            if self._body is not None:
+                raise RuntimeError("parallel_for is already running on this pool")
+            self._chunks, self._body = chunks, body
+            self._next, self._unfinished, self._error = 0, len(chunks), None
+            self._cv.notify_all()
+        self._work()
+        with self._cv:
+            while self._unfinished:
+                self._cv.wait()
+            error = self._error
+            self._chunks, self._body, self._error = [], None, None
+        if error is not None:
+            raise error
 
     def shutdown(self) -> None:
         with self._cv:
@@ -109,22 +85,32 @@ class WorkerPool:
         self._local.slot = slot
         while True:
             with self._cv:
-                while not self._pending and not self._shutdown:
+                while self._next >= len(self._chunks) and not self._shutdown:
                     self._cv.wait()
-                if self._shutdown and not self._pending:
+                if self._shutdown:
                     return
-                task = self._pending.popleft()
-                task._state = _RUNNING
-            self._run(task)
+            self._work()
 
-    def _run(self, task: Task) -> None:
-        try:
-            task._fn(*task._args)
-        except BaseException as exc:
-            task._exc = exc
-        with self._cv:
-            task._state = _DONE
-            self._cv.notify_all()
+    def _work(self) -> None:
+        """Claim and run chunks of the current batch until none is left."""
+        while True:
+            with self._cv:
+                i = self._next
+                if i >= len(self._chunks):
+                    return
+                self._next = i + 1
+                body, chunk = self._body, self._chunks[i]
+            error = None
+            try:
+                body(*chunk)
+            except BaseException as exc:  # re-raised by parallel_for
+                error = exc
+            with self._cv:
+                if self._error is None:
+                    self._error = error
+                self._unfinished -= 1
+                if not self._unfinished:
+                    self._cv.notify_all()
 
 
 def chunk_ranges(start: int, stop: int, step: int, max_chunks: int):

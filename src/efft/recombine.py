@@ -1,10 +1,12 @@
-"""Stages II-III: parallel recursion over bins and in-place pairwise merges.
+"""Stages II-III: leaf transforms of the bins, then in-place pairwise merges.
 
-process_and_reassemble walks the radix-2 tree: a segment the size of one
-bin is leaf-transformed by the current worker's kernel; anything larger is
-split in half, the first half spawned as a parallel task and the second
-run inline, then after the join the two packed half-spectra are merged in
-place with twiddle factors.
+run_transform schedules the stages level by level.  One parallel_for runs
+the leaf transforms over contiguous runs of bins, each run by the current
+worker's kernel.  Then each merge level, deepest first, is one parallel_for
+with one item per segment.  When a level has fewer segments than workers,
+each segment's coefficient range is split into pieces on k_tile boundaries
+so that every worker still has a piece; the values of a merged coefficient
+do not depend on which piece computed it.
 
 The merge of two half-spectra E and O (each the packed spectrum of m reals)
 into the packed spectrum of the 2m-sample segment applies, with
@@ -21,28 +23,22 @@ reference for the arithmetic; the in-place kernel evaluates the same
 expressions on the same twiddle values, so the two agree bitwise.
 
 The in-place hot path runs out of per-thread workspace lanes (gathers,
-twiddles, temporaries) and never allocates: concurrent merge tasks would
+twiddles, temporaries) and never allocates: concurrent merges would
 otherwise serialize on the allocator.
 """
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeMismatch
+from .errors import HandleClosed, SizeMismatch
 from .memory import aligned_empty
 from .parallel import chunk_ranges
 from .scatter import scatter
 
-# A merge of total length above PARALLEL_MERGE_FACTOR * k_tile runs its
-# tile loop as a parallel-for; smaller merges have ample parallelism from
-# sibling recursion tasks and stay serial.
-PARALLEL_MERGE_FACTOR = 64
-MERGE_TASKS_PER_WORKER = 4
-# Coefficients processed per workspace pass; a run of tiles is fused up to
-# this length (twiddle values are invariant to the fusion), which bounds
-# the lane working set to a cache-friendly size.
+# Coefficients processed per workspace pass; a longer coefficient range runs
+# in blocks of this length (twiddle values do not depend on the blocking),
+# which bounds the lane working set to a cache-friendly size.
 MERGE_BLOCK = 1 << 14
 
 
@@ -57,23 +53,6 @@ def _twiddle_lanes(m: int, k_index: np.ndarray):
     trigconst = -np.pi / m
     ang32 = (k_index.astype(np.float64) * trigconst).astype(np.float32)
     return np.cos(ang32), np.sin(ang32)
-
-
-@dataclass(frozen=True)
-class TwiddleTile:
-    """Precomputed cosine/sine lanes for one tile of merge coefficients."""
-
-    cos: np.ndarray
-    sin: np.ndarray
-
-    @classmethod
-    def build(cls, m: int, start: int, length: int) -> "TwiddleTile":
-        c, s = _twiddle_lanes(m, np.arange(start, start + length, dtype=np.int64))
-        cos = aligned_empty(length)
-        sin = aligned_empty(length)
-        cos[:] = c
-        sin[:] = s
-        return cls(cos=cos, sin=sin)
 
 
 def reassemble_pair_basic(evens: np.ndarray, odds: np.ndarray, target: np.ndarray) -> None:
@@ -213,20 +192,31 @@ def _merge_pair_range(seg: np.ndarray, m: int, ka: int, kb: int) -> None:
         _merge_pair_block(seg, m, lo, min(lo + ws.cap, kb), ws)
 
 
-def reassemble_pair_inplace(
-    seg: np.ndarray,
-    m: int,
-    k_tile: int = 64,
-    pool=None,
-    workers: int = 1,
-) -> None:
+def _merge_piece(seg: np.ndarray, m: int, ka: int, kb: int) -> None:
+    """In-place merge of coefficients [ka, kb) and their mirrors.
+
+    The piece that starts at ka == 1 also writes the special slots, F_0 and
+    F_m (from the k = 0 terms) and F_{m/2} (from the halves' Nyquist terms).
+    """
+    if ka == 1:
+        e0 = seg[0]
+        e_nyq = seg[1]
+        o0 = seg[m]
+        o_nyq = seg[m + 1]
+        seg[0] = e0 + o0
+        seg[1] = e0 - o0
+        seg[m] = e_nyq
+        seg[m + 1] = -o_nyq
+    _merge_pair_range(seg, m, ka, kb)
+
+
+def reassemble_pair_inplace(seg: np.ndarray, m: int, k_tile: int = 64) -> None:
     """Merge the two adjacent packed half-spectra held in seg, in place.
 
-    Needs m >= 4*k_tile for the tiled path; below that the basic kernel
-    runs through a temporary and is copied back.  The tiled path handles
-    the three special slots (F_0, F_m, F_{m/2}), runs the first k_tile-1
-    coefficients as a serial prologue, then walks k-tiles up to the center
-    coefficient m/4, in parallel when the merge is large enough.
+    Needs m >= 4*k_tile for the in-place path; below that the basic kernel
+    runs through a temporary and is copied back.  The in-place path writes
+    the special slots, then coefficients 1 through the self-mirrored center
+    m/4, each paired with its mirror, in one pass.
     """
     if seg.shape != (2 * m,):
         raise SizeMismatch(f"need a buffer of length {2 * m}, got {seg.shape}")
@@ -235,74 +225,53 @@ def reassemble_pair_inplace(
         reassemble_pair_basic(seg[:m], seg[m:], tmp)
         seg[:] = tmp
         return
-
-    e0 = seg[0]
-    e_nyq = seg[1]
-    o0 = seg[m]
-    o_nyq = seg[m + 1]
-    seg[0] = e0 + o0
-    seg[1] = e0 - o0
-    seg[m] = e_nyq
-    seg[m + 1] = -o_nyq
-
-    q = m // 4
-    _merge_pair_range(seg, m, 1, k_tile)
-
-    ntiles = (q - k_tile) // k_tile
-    full_end = k_tile + ntiles * k_tile
-    if pool is not None and workers > 1 and 2 * m > PARALLEL_MERGE_FACTOR * k_tile:
-        chunks = chunk_ranges(k_tile, full_end, k_tile, MERGE_TASKS_PER_WORKER * workers)
-        pool.parallel_for(chunks, lambda lo, hi: _merge_pair_range(seg, m, lo, hi))
-    else:
-        _merge_pair_range(seg, m, k_tile, full_end)
-
-    # Remainder through the self-mirrored center coefficient q.
-    _merge_pair_range(seg, m, full_end, q + 1)
+    _merge_piece(seg, m, 1, m // 4 + 1)
 
 
-def process_and_reassemble(seg: np.ndarray, plan, handle) -> None:
-    """Transform one scratch segment: recurse, leaf-transform, merge.
+def _merge_items(buf: np.ndarray, length: int, k_tile: int, workers: int):
+    """(segment, ka, kb) items for the merge level of the given segment length.
 
-    A merge runs its tile loop in parallel only near the root of the tree,
-    where the number of simultaneous merges has dropped below the worker
-    count and idle workers exist; deeper merges already have sibling
-    subtrees to keep every worker busy, and nesting a parallel-for there
-    only invites a joining thread to steal a whole unrelated subtree.
+    One item per segment, unless the level has fewer segments than workers:
+    then each segment large enough for the in-place path is split into
+    ceil(workers / segments) coefficient pieces on k_tile boundaries.
     """
-    length = seg.shape[0]
-    q = length // plan.binsize
-    if q < 1 or q * plan.binsize != length or q & (q - 1):
-        raise SizeMismatch(
-            f"segment length {length} is not binsize * 2**d (binsize {plan.binsize})"
-        )
-    if length == plan.binsize:
-        handle.kernel_for_current_worker().transform(seg)
-        return
-    half = length // 2
-    task = handle.pool.spawn(process_and_reassemble, seg[:half], plan, handle)
-    process_and_reassemble(seg[half:], plan, handle)
-    handle.pool.join(task)
-    merge_parallel = (
-        plan.n // length < plan.workers
-        and length > PARALLEL_MERGE_FACTOR * plan.k_tile
-    )
-    reassemble_pair_inplace(
-        seg,
-        half,
-        plan.k_tile,
-        pool=handle.pool if merge_parallel else None,
-        workers=plan.workers,
-    )
+    m = length // 2
+    segments = buf.shape[0] // length
+    pieces = -(-workers // segments) if m >= 4 * k_tile else 1
+    ranges = chunk_ranges(1, m // 4 + 1, k_tile, pieces)
+    return [(buf[lo:lo + length], ka, kb)
+            for lo in range(0, buf.shape[0], length) for ka, kb in ranges]
 
 
 def run_transform(handle) -> np.ndarray:
     """Run the full three-stage transform; the input buffer is preserved.
 
     Stage I scatters the input into bins of the scratch buffer, stages
-    II-III transform and merge the bins in place there.  Returns the
-    handle's read-only result view over the packed spectrum.
+    II-III transform and merge the bins in place there, one parallel_for
+    for the leaves and one per merge level.  Returns the handle's read-only
+    result view over the packed spectrum.
     """
-    plan = handle.plan
-    scatter(handle.data, handle._scratch, plan, pool=handle.pool)
-    process_and_reassemble(handle._scratch, plan, handle)
+    if not handle._finalizer.alive:
+        raise HandleClosed("the handle is closed")
+    plan, pool, buf = handle.plan, handle.pool, handle._scratch
+    binsize, k_tile = plan.binsize, plan.k_tile
+    scatter(handle.data, buf, plan, pool=pool)
+
+    def leaves(lo, hi):
+        kernel = handle.kernel_for_current_worker()
+        for b in range(lo, hi, binsize):
+            kernel.transform(buf[b:b + binsize])
+
+    def merge(seg, ka, kb):
+        m = seg.shape[0] // 2
+        if (ka, kb) == (1, m // 4 + 1):
+            reassemble_pair_inplace(seg, m, k_tile)
+        else:
+            _merge_piece(seg, m, ka, kb)
+
+    pool.parallel_for(chunk_ranges(0, plan.n, binsize, plan.workers), leaves)
+    length = 2 * binsize
+    while length <= plan.n:
+        pool.parallel_for(_merge_items(buf, length, k_tile, plan.workers), merge)
+        length *= 2
     return handle.result

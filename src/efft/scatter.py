@@ -9,7 +9,7 @@ with stride b, the cache-friendly order for b much smaller than the bin size.
 
 import numpy as np
 
-from .errors import SizeMismatch
+from .errors import NonFiniteInput, SizeMismatch
 from .parallel import chunk_ranges
 
 TASKS_PER_WORKER = 8
@@ -36,7 +36,7 @@ def scatter(input_buf: np.ndarray, scratch_buf: np.ndarray, plan, pool=None) -> 
             f"buffers must have length {n}, got {input_buf.shape} and {scratch_buf.shape}"
         )
     if not np.all(np.isfinite(input_buf)):
-        raise ValueError("input contains non-finite values")
+        raise NonFiniteInput("input contains non-finite values")
 
     bins = plan.bins
     binsize = plan.binsize

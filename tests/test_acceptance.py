@@ -6,6 +6,7 @@ take a few minutes combined; everything else is quick.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -158,6 +159,24 @@ def test_leaf_invariant_suites():
 
 
 def _physical_cores():
+    """Physical cores among the CPUs this process may run on."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        with open("/proc/cpuinfo") as f:
+            blocks = f.read().split("\n\n")
+        cores = set()
+        for block in blocks:
+            fields = dict(
+                (key.strip(), value.strip())
+                for key, sep, value in (line.partition(":") for line in block.splitlines())
+                if sep
+            )
+            if "core id" in fields and int(fields["processor"]) in allowed:
+                cores.add((fields.get("physical id"), fields["core id"]))
+        if cores:
+            return len(cores)
+    except (AttributeError, OSError, KeyError, ValueError):
+        pass
     try:
         import psutil
 

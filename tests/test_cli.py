@@ -2,6 +2,9 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -82,6 +85,22 @@ class TestTransform:
              "--input", inp, "--output", str(tmp_path / "o.f32")], capsys)
         assert code == 1
         assert "multiple" in stderr
+
+    def test_non_finite_input_is_a_clean_error(self, tmp_path):
+        values = np.zeros(1024, dtype=np.float32)
+        values[7] = np.nan
+        inp = make_input(tmp_path, 1024, values)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "efft.cli", "transform", "--size", "1024",
+             "--splits", "2", "--test-mode", "--workers", "2", "--input", inp,
+             "--output", str(tmp_path / "o.f32")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "error: input contains non-finite values" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestScan:

@@ -5,7 +5,7 @@ import pytest
 
 import efft
 from efft import errors
-from efft.core import PermSpectrum, data_view, handle_create, plan_create, result_view
+from efft.core import PermSpectrum, handle_create, plan_create
 from efft.oracle import naive_dft
 
 from conftest import random_f32
@@ -65,7 +65,7 @@ class TestPlanCreate:
 class TestHandle:
     def test_buffers_aligned_and_distinct(self):
         with handle_create(plan_create(2 ** 12, 2, workers=2)) as h:
-            d, r = data_view(h), result_view(h)
+            d, r = h.data, h.result
             assert d.shape == (2 ** 12,) and r.shape == (2 ** 12,)
             assert d.ctypes.data % 64 == 0
             assert h._scratch.ctypes.data % 64 == 0
@@ -75,7 +75,7 @@ class TestHandle:
     def test_result_view_is_read_only(self):
         with handle_create(plan_create(2 ** 12, 2, workers=1)) as h:
             with pytest.raises(ValueError):
-                result_view(h)[0] = 1.0
+                h.result[0] = 1.0
 
     def test_buffers_do_not_alias(self):
         with handle_create(plan_create(2 ** 12, 2, workers=1)) as h:
@@ -122,6 +122,17 @@ class TestHandle:
         h = handle_create(plan_create(2 ** 10, 0, workers=2, test_mode=True))
         h.close()
         h.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_after_close_raises(self, workers):
+        h = handle_create(plan_create(2 ** 10, 1, workers=workers, test_mode=True))
+        h.data[:] = 1.0
+        h.run()
+        h.close()
+        with pytest.raises(errors.HandleClosed):
+            h.run()
+        with pytest.raises(errors.HandleClosed):
+            efft.run_transform(h)
 
 
 class TestPermSpectrum:

@@ -1,5 +1,6 @@
-"""Tests for the fork-join worker pool."""
+"""Tests for the parallel_for worker pool."""
 
+import sys
 import threading
 import time
 
@@ -28,32 +29,58 @@ def test_parallel_for_covers_all_chunks(pool):
     assert sorted(seen) == chunks
 
 
-def test_join_propagates_exceptions(pool):
-    def boom():
-        raise RuntimeError("inner failure")
-
-    task = pool.spawn(boom)
-    with pytest.raises(RuntimeError, match="inner failure"):
-        pool.join(task)
-
-
-def test_nested_recursion_never_deadlocks(pool):
-    results = {}
+def test_error_raised_after_every_chunk_finished(pool):
+    finished = set()
     lock = threading.Lock()
 
-    def tree(lo, hi):
-        if hi - lo <= 1:
-            time.sleep(0.001)
-            with lock:
-                results[lo] = True
-            return
-        mid = (lo + hi) // 2
-        t = pool.spawn(tree, lo, mid)
-        tree(mid, hi)
-        pool.join(t)
+    def body(lo, _hi):
+        if lo == 0:
+            raise RuntimeError("inner failure")
+        time.sleep(0.02)
+        with lock:
+            finished.add(lo)
 
-    tree(0, 64)
-    assert len(results) == 64
+    chunks = [(i, i + 1) for i in range(2 * pool.workers + 1)]
+    with pytest.raises(RuntimeError, match="inner failure"):
+        pool.parallel_for(chunks, body)
+    with lock:
+        assert finished == set(range(1, len(chunks)))
+    # the pool stays usable after a failed batch
+    pool.parallel_for(chunks[1:], lambda lo, hi: None)
+
+
+def test_back_to_back_batches_run_every_chunk_once(pool):
+    counts = [0] * 64
+    lock = threading.Lock()
+
+    def body(lo, hi):
+        for i in range(lo, hi):
+            with lock:
+                counts[i] += 1
+
+    def batches():
+        for _ in range(200):
+            pool.parallel_for(chunk_ranges(0, 64, 1, 64), body)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(target=batches, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert counts == [200] * 64
+
+
+def test_nested_call_raises(pool):
+    def body(_lo, _hi):
+        pool.parallel_for([(0, 1)], lambda lo, hi: None)
+
+    with pytest.raises(RuntimeError, match="already running"):
+        pool.parallel_for([(0, 1), (1, 2)], body)
+    pool.parallel_for([(0, 1)], lambda lo, hi: None)
 
 
 def test_current_slot_in_range(pool):
