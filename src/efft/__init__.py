@@ -22,7 +22,7 @@ from .core import (
     handle_create,
     plan_create,
 )
-from .leaf_dft import LeafKernel, Radix2LeafKernel, leaf_transform
+from .leaf_dft import LeafKernel
 from .oracle import l2_norm, naive_dft, naive_dft_at, pack_perm
 from .recombine import reassemble_pair_basic, reassemble_pair_inplace, run_transform
 from .scatter import build_scatter_index, scatter
@@ -35,14 +35,12 @@ __all__ = [
     "TransformHandle",
     "TransformPlan",
     "LeafKernel",
-    "Radix2LeafKernel",
     "build_scatter_index",
     "efficiency",
     "errors",
     "flops_model",
     "handle_create",
     "l2_norm",
-    "leaf_transform",
     "naive_dft",
     "naive_dft_at",
     "pack_perm",

@@ -81,8 +81,8 @@ class MemoryProbe(NamedTuple):
 def peak_memory_probe() -> MemoryProbe:
     """Peak process memory from the best counter the platform exposes.
 
-    Tries the process's peak virtual size ("vm_peak"), then its peak
-    resident size ("max_rss"), then falls back to the library's own
+    Tries the process's peak resident size from /proc ("vm_hwm"), then
+    from getrusage ("max_rss"), then falls back to the library's own
     high-water allocation mark ("internal"); the source field says which
     one was used.  Peak counters only ever grow, so a single query after
     the run replaces any sampling loop.
@@ -90,9 +90,9 @@ def peak_memory_probe() -> MemoryProbe:
     try:
         with open("/proc/self/status") as fh:
             for line in fh:
-                if line.startswith("VmPeak:"):
+                if line.startswith("VmHWM:"):
                     kb = int(line.split()[1])
-                    return MemoryProbe(kb * 1024, "vm_peak")
+                    return MemoryProbe(kb * 1024, "vm_hwm")
     except OSError:
         pass
     try:

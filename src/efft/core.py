@@ -14,6 +14,7 @@ Packed spectrum layout (length-M real buffer for a length-M real input):
 Coefficients above M/2 are implied by conjugate symmetry F_{M-k} = F_k*.
 """
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from .errors import (
     SizeConstraintViolation,
     SplitsTooLarge,
 )
-from .leaf_dft import Radix2LeafKernel, _is_pow2
+from .leaf_dft import LeafKernel, _is_pow2
 from .memory import aligned_empty
 from .parallel import WorkerPool, chunk_ranges
 from .scatter import build_scatter_index
@@ -35,7 +36,7 @@ DEFAULT_K_TILE = 64
 
 # Production sizes must be multiples of 2**(splits + SIZE_GRAIN_BITS); the
 # constraint exists for tiling efficiency, so test mode may relax it down
-# to the smallest leaf the built-in kernel supports.
+# to the smallest leaf the leaf kernel supports.
 SIZE_GRAIN_BITS = 8
 MIN_LEAF = 4
 
@@ -72,8 +73,8 @@ def plan_create(
     """Validate a configuration and derive its bins, bin size, and bin map.
 
     Outside test mode, n must be a multiple of 2**(splits+8).  In either
-    mode n / 2**splits must be a power of two >= 4, the sizes the built-in
-    leaf kernel accepts.
+    mode n / 2**splits must be a power of two >= 4, the sizes the leaf
+    kernel accepts.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -96,7 +97,7 @@ def plan_create(
     if binsize * bins != n or not _is_pow2(binsize) or binsize < MIN_LEAF:
         raise BinsizeNotPowerOfTwo(
             f"bin size {n}/{bins} must be a power of two >= {MIN_LEAF} "
-            f"for the built-in leaf kernel"
+            f"for the leaf kernel"
         )
     return TransformPlan(
         n=n,
@@ -114,21 +115,28 @@ def plan_create(
 class TransformHandle:
     """Owns the buffers, worker pool, and per-worker leaf kernels of a plan.
 
-    Creation allocates both aligned buffers and first-touches each region
-    from the worker that will predominantly process it, then instantiates
-    one leaf kernel per worker.  All of that is reused across transforms;
-    running one never reallocates.
+    Creation allocates the input and scratch buffers as one aligned block
+    (one allocation, so creating and closing handles keeps reusing the same
+    pages), first-touches each region from the worker that will
+    predominantly process it, then instantiates one leaf kernel per worker.
+    All of that is reused across transforms; running one never reallocates.
 
     A handle belongs to one logical owner at a time: it may move between
-    threads but must not be used by two callers at once.
+    threads, but a transform started while another runs raises HandleBusy.
     """
 
     def __init__(self, plan: TransformPlan):
         self.plan = plan
-        self._input = aligned_empty(plan.n)
-        self._scratch = aligned_empty(plan.n)
+        # The scratch view starts a whole number of 64-byte lines into the
+        # block.  The block itself is kept: memory.py's live-byte count
+        # follows it, not the views.
+        offset = -(-plan.n // 16) * 16
+        self._block = aligned_empty(offset + plan.n)
+        self._input = self._block[:plan.n]
+        self._scratch = self._block[offset:]
+        self._lock = threading.Lock()
         self._pool = WorkerPool(plan.workers)
-        self._kernels = [Radix2LeafKernel(plan.binsize) for _ in range(plan.workers)]
+        self._kernels = [LeafKernel(plan.binsize) for _ in range(plan.workers)]
         self._result = self._scratch.view()
         self._result.setflags(write=False)
         self._finalizer = weakref.finalize(self, WorkerPool.shutdown, self._pool)
@@ -160,7 +168,7 @@ class TransformHandle:
     def pool(self) -> WorkerPool:
         return self._pool
 
-    def kernel_for_current_worker(self) -> Radix2LeafKernel:
+    def kernel_for_current_worker(self) -> LeafKernel:
         return self._kernels[self._pool.current_slot()]
 
     def run(self) -> np.ndarray:

@@ -10,7 +10,7 @@ class SizeConstraintViolation(EfftError, ValueError):
 
 
 class BinsizeNotPowerOfTwo(EfftError, ValueError):
-    """n / 2**splits is not a power of two >= 4, so no built-in leaf fits."""
+    """n / 2**splits is not a power of two >= 4, so no leaf kernel fits."""
 
 
 class SplitsTooLarge(EfftError, ValueError):
@@ -47,6 +47,10 @@ class MissingBaseline(EfftError, ValueError):
 
 class HandleClosed(EfftError):
     """A transform was requested on a handle that has been closed."""
+
+
+class HandleBusy(EfftError):
+    """A transform was requested while the handle was running another one."""
 
 
 class NonFiniteInput(EfftError, ValueError):

@@ -1,23 +1,13 @@
 """Serial real-input DFT kernel producing the packed permuted layout in place.
 
-The built-in kernel views the m real samples as m/2 complex pairs, runs an
-iterative radix-2 decimation-in-time FFT over the pairs, then splits that
-half-size complex spectrum back into the spectrum of the real sequence and
-packs it as [R_0, R_{m/2}, R_1, I_1, ...].  Data stays in single precision;
-twiddle angles are formed in double precision and the resulting factors are
-rounded to single for the multiplies, so phase accuracy does not degrade
-with kernel size.
+The leaf is numpy's pocketfft: np.fft.rfft computes the m/2+1 coefficients
+of a float32 segment in single precision into a spectrum lane the kernel
+owns, and the kernel then packs them over the segment as
+[R_0, R_{m/2}, R_1, I_1, ...].  pocketfft releases the GIL while it runs,
+so the kernels of different workers transform their bins at the same time.
 
-Every invocation works entirely in workspaces owned by the kernel instance
-(no per-call array allocation): concurrent kernels on separate workers never
-contend for memory, and a worker's tables and scratch stay warm across the
-many bins it processes.
-
-The kernel class is a seam: anything with the same `m`/`transform` surface
-that rewrites a length-m segment into the packed layout may substitute.
+Each worker gets its own kernel, so no two threads ever share a lane.
 """
-
-import functools
 
 import numpy as np
 
@@ -29,102 +19,22 @@ def _is_pow2(v: int) -> bool:
     return v > 0 and (v & (v - 1)) == 0
 
 
-def _bit_reverse_indices(h: int) -> np.ndarray:
-    bits = h.bit_length() - 1
-    idx = np.arange(h, dtype=np.int64)
-    rev = np.zeros_like(idx)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-@functools.lru_cache(maxsize=8)
-def _tables(m: int):
-    """Immutable per-size tables, shared across kernel instances of one size.
-
-    Returns the pair-FFT bit reversal, the per-stage butterfly twiddles,
-    and the two fused real-split lanes P, Q with
-    F_k = Z_k * P_k + conj(Z_{h-k}) * Q_k,
-    P = 1/2 - i/2 * e^{-2pi i k/m},  Q = 1/2 + i/2 * e^{-2pi i k/m}.
-    """
-    h = m // 2
-    bitrev = _bit_reverse_indices(h)
-    bitrev.setflags(write=False)
-    stage_tw = []
-    half = 1
-    while half < h:
-        ang = np.arange(half, dtype=np.float64) * (-np.pi / half)
-        w = np.exp(1j * ang).astype(np.complex64)
-        w.setflags(write=False)
-        stage_tw.append(w)
-        half *= 2
-    ang = np.arange(h, dtype=np.float64) * (-2.0 * np.pi / m)
-    w2 = -0.5j * np.exp(1j * ang)
-    split_p = (0.5 + w2).astype(np.complex64)
-    split_q = (0.5 - w2).astype(np.complex64)
-    split_p.setflags(write=False)
-    split_q.setflags(write=False)
-    return bitrev, tuple(stage_tw), split_p, split_q
-
-
 class LeafKernel:
-    """Interface of the serial leaf transform (see module docstring)."""
-
-    m: int
-
-    def transform(self, buf: np.ndarray) -> None:
-        raise NotImplementedError
-
-
-class Radix2LeafKernel(LeafKernel):
-    """Built-in power-of-two leaf; one private instance per worker."""
+    """Power-of-two leaf transform; one private instance per worker."""
 
     def __init__(self, m: int):
         if not _is_pow2(m) or m < 4:
-            raise ValueError(f"built-in leaf needs a power-of-two size >= 4, got {m}")
+            raise ValueError(f"leaf kernel needs a power-of-two size >= 4, got {m}")
         self.m = m
-        self._bitrev, self._stage_tw, self._split_p, self._split_q = _tables(m)
-        h = m // 2
-        self._z = aligned_empty(h, dtype=np.complex64)
-        self._zc = aligned_empty(h, dtype=np.complex64)
-        self._bt = aligned_empty(h // 2, dtype=np.complex64)
+        self._lane = aligned_empty(m // 2 + 1, dtype=np.complex64)
 
     def transform(self, buf: np.ndarray) -> None:
         """Rewrite a length-m float32 segment with its packed spectrum."""
         m = self.m
         if buf.shape != (m,) or buf.dtype != np.float32:
             raise SizeMismatch(f"leaf kernel of size {m} got buffer shape {buf.shape}")
-        h = m // 2
-        z = self._z
-        np.take(buf.view(np.complex64), self._bitrev, out=z)
-
-        half = 1
-        for w in self._stage_tw:
-            blocks = z.reshape(-1, 2, half)
-            a = blocks[:, 0, :]
-            b = blocks[:, 1, :]
-            t = self._bt[:h // 2].reshape(a.shape)
-            np.multiply(b, w, out=t)
-            np.subtract(a, t, out=b)
-            np.add(a, t, out=a)
-            half *= 2
-
-        zc = self._zc
-        np.conjugate(z[:0:-1], out=zc[1:])
-        zc[0] = np.conj(z[0])
-        z0 = complex(z[0])
-
-        np.multiply(z, self._split_p, out=z)
-        np.multiply(zc, self._split_q, out=zc)
-        np.add(z, zc, out=z)
-
-        buf[0] = z0.real + z0.imag
-        buf[1] = z0.real - z0.imag
-        buf[2::2] = z[1:].real
-        buf[3::2] = z[1:].imag
-
-
-def leaf_transform(kernel: LeafKernel, buf: np.ndarray) -> None:
-    """Run one serial leaf transform in place over a length-m segment."""
-    kernel.transform(buf)
+        lane = self._lane
+        np.fft.rfft(buf, out=lane)
+        buf.view(np.complex64)[1:] = lane[1:m // 2]
+        buf[0] = lane[0].real
+        buf[1] = lane[m // 2].real

@@ -31,7 +31,7 @@ import threading
 
 import numpy as np
 
-from .errors import HandleClosed, SizeMismatch
+from .errors import HandleBusy, HandleClosed, SizeMismatch
 from .memory import aligned_empty
 from .parallel import chunk_ranges
 from .scatter import scatter
@@ -249,13 +249,13 @@ def run_transform(handle) -> np.ndarray:
     Stage I scatters the input into bins of the scratch buffer, stages
     II-III transform and merge the bins in place there, one parallel_for
     for the leaves and one per merge level.  Returns the handle's read-only
-    result view over the packed spectrum.
+    result view over the packed spectrum.  Raises HandleBusy, and leaves the
+    running transform alone, if the handle is already running one.
     """
     if not handle._finalizer.alive:
         raise HandleClosed("the handle is closed")
     plan, pool, buf = handle.plan, handle.pool, handle._scratch
     binsize, k_tile = plan.binsize, plan.k_tile
-    scatter(handle.data, buf, plan, pool=pool)
 
     def leaves(lo, hi):
         kernel = handle.kernel_for_current_worker()
@@ -269,9 +269,15 @@ def run_transform(handle) -> np.ndarray:
         else:
             _merge_piece(seg, m, ka, kb)
 
-    pool.parallel_for(chunk_ranges(0, plan.n, binsize, plan.workers), leaves)
-    length = 2 * binsize
-    while length <= plan.n:
-        pool.parallel_for(_merge_items(buf, length, k_tile, plan.workers), merge)
-        length *= 2
+    if not handle._lock.acquire(blocking=False):
+        raise HandleBusy("the handle is already running a transform")
+    try:
+        scatter(handle.data, buf, plan, pool=pool)
+        pool.parallel_for(chunk_ranges(0, plan.n, binsize, plan.workers), leaves)
+        length = 2 * binsize
+        while length <= plan.n:
+            pool.parallel_for(_merge_items(buf, length, k_tile, plan.workers), merge)
+            length *= 2
+    finally:
+        handle._lock.release()
     return handle.result

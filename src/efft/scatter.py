@@ -2,9 +2,13 @@
 
 Element i*b + j of the input lands in bin bit_reverse(j) at offset i, which
 is exactly s rounds of even/odd separation collapsed into one pass.  The
-work is split over contiguous ranges of i-tiles (about 8 tasks per worker);
-within a task, each bin's run is written unit-stride while the input is read
-with stride b, the cache-friendly order for b much smaller than the bin size.
+work is split over contiguous ranges of i-tiles, about 8 chunks per worker,
+so a worker that finishes early claims another chunk instead of idling.
+With one worker the chunks run in order on the caller; whether cutting the
+rows into chunks there helps (as cache blocking) or costs has not been
+measured.  Within a chunk, each bin's run is written unit-stride while the
+input is read with stride b, the cache-friendly order for b much smaller
+than the bin size.
 """
 
 import numpy as np
@@ -50,7 +54,7 @@ def scatter(input_buf: np.ndarray, scratch_buf: np.ndarray, plan, pool=None) -> 
             dst[sidx[j], lo:hi] = block[:, j]
 
     chunks = chunk_ranges(0, binsize, plan.i_tile, TASKS_PER_WORKER * plan.workers)
-    if pool is None or plan.workers == 1:
+    if pool is None:
         for lo, hi in chunks:
             body(lo, hi)
     else:

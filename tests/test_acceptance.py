@@ -136,7 +136,7 @@ def test_leaf_invariant_suites():
     """Parseval and linearity hold at every supported leaf size up to 4096."""
     sizes = [1 << e for e in range(2, 13)]
     for m in sizes:
-        kernel = efft.Radix2LeafKernel(m)
+        kernel = efft.LeafKernel(m)
         for trial in range(5):
             x = random_f32(m, seed=31 * m + trial)
             buf = x.copy()

@@ -1,5 +1,7 @@
 """Tests for the FLOP model, metrics, memory probe, and signal I/O."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -69,11 +71,19 @@ class TestRunMetrics:
 class TestMemoryProbe:
     def test_probe_is_labeled_and_monotone(self):
         first = peak_memory_probe()
-        assert first.source in ("vm_peak", "max_rss", "internal")
+        assert first.source in ("vm_hwm", "max_rss", "internal")
         assert first.bytes is not None and first.bytes >= 0
         second = peak_memory_probe()
         assert second.source == first.source
         assert second.bytes >= first.bytes
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc only")
+    def test_linux_reports_peak_resident_size(self):
+        probe = peak_memory_probe()
+        assert probe.source == "vm_hwm"
+        with open("/proc/self/status") as fh:
+            hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+        assert 0 < probe.bytes <= hwm * 1024
 
     def test_high_water_covers_handle_buffers(self):
         n = 2 ** 20

@@ -1,5 +1,7 @@
 """Tests for plan validation, buffer management, and the packed layout view."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,52 @@ class TestHandle:
             h.run()
         with pytest.raises(errors.HandleClosed):
             efft.run_transform(h)
+
+
+    def test_busy_handle_refuses_a_second_run(self):
+        n = 2 ** 10
+        with handle_create(plan_create(n, 1, workers=2, test_mode=True)) as h:
+            h.data[:] = random_f32(n, seed=4)
+            before = np.array(h.run())
+            h.data[:] = 1.0
+            with h._lock:
+                with pytest.raises(errors.HandleBusy):
+                    h.run()
+                assert np.array_equal(np.array(h.result), before)
+            h.data[:] = random_f32(n, seed=4)
+            assert np.array_equal(np.array(h.run()), before)
+
+    def test_racing_threads_never_corrupt_the_spectrum(self):
+        n = 2 ** 14
+        x = random_f32(n, seed=8)
+        with handle_create(plan_create(n, 4, workers=1, test_mode=True)) as ref:
+            ref.data[:] = x
+            expected = np.array(ref.run())
+        with handle_create(plan_create(n, 4, workers=2, test_mode=True)) as h:
+            h.data[:] = x
+            barrier = threading.Barrier(2, timeout=30)
+            outcomes, intact = [], []
+
+            def caller():
+                for _ in range(25):
+                    barrier.wait()
+                    try:
+                        h.run()
+                        outcomes.append("ok")
+                    except Exception as exc:
+                        outcomes.append(type(exc).__name__)
+                    barrier.wait()
+                    intact.append(np.array_equal(np.array(h.result), expected))
+
+            threads = [threading.Thread(target=caller) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            # Each round ends with one HandleBusy or two correct results.
+            assert len(outcomes) == 50 and set(outcomes) <= {"ok", "HandleBusy"}
+            assert outcomes.count("ok") >= 25
+            assert len(intact) == 50 and all(intact)
 
 
 class TestPermSpectrum:

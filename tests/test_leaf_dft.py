@@ -1,11 +1,14 @@
 """Tests for the serial real-input leaf kernel."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from efft import errors
-from efft.leaf_dft import Radix2LeafKernel, leaf_transform
-from efft.oracle import l2_norm, naive_dft, pack_perm
+from efft.core import PermSpectrum
+from efft.leaf_dft import LeafKernel
+from efft.oracle import l2_norm, naive_dft, naive_dft_at, pack_perm
 
 from conftest import random_f32
 
@@ -14,8 +17,8 @@ LEAF_SIZES = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
 
 def run_leaf(x):
     buf = np.array(x, dtype=np.float32)
-    kernel = Radix2LeafKernel(buf.shape[0])
-    leaf_transform(kernel, buf)
+    kernel = LeafKernel(buf.shape[0])
+    kernel.transform(buf)
     return buf
 
 
@@ -39,7 +42,7 @@ def test_ramp_m8():
 
 
 def test_size_mismatch():
-    kernel = Radix2LeafKernel(8)
+    kernel = LeafKernel(8)
     with pytest.raises(errors.SizeMismatch):
         kernel.transform(np.zeros(16, dtype=np.float32))
     with pytest.raises(errors.SizeMismatch):
@@ -49,12 +52,12 @@ def test_size_mismatch():
 @pytest.mark.parametrize("m", [3, 6, 12, 2, 1])
 def test_unsupported_sizes(m):
     with pytest.raises(ValueError):
-        Radix2LeafKernel(m)
+        LeafKernel(m)
 
 
 @pytest.mark.parametrize("m", LEAF_SIZES)
 def test_oracle_equivalence(m):
-    kernel = Radix2LeafKernel(m)
+    kernel = LeafKernel(m)
     for trial in range(20):
         x = random_f32(m, seed=1000 * m + trial)
         buf = x.copy()
@@ -65,7 +68,7 @@ def test_oracle_equivalence(m):
 
 @pytest.mark.parametrize("m", LEAF_SIZES)
 def test_parseval(m):
-    kernel = Radix2LeafKernel(m)
+    kernel = LeafKernel(m)
     for trial in range(5):
         x = random_f32(m, seed=77 * m + trial)
         buf = x.copy()
@@ -78,7 +81,7 @@ def test_parseval(m):
 
 @pytest.mark.parametrize("m", LEAF_SIZES)
 def test_linearity(m):
-    kernel = Radix2LeafKernel(m)
+    kernel = LeafKernel(m)
     x = random_f32(m, seed=m)
     y = random_f32(m, seed=m + 1)
     a, b = np.float32(0.7), np.float32(-1.3)
@@ -95,7 +98,7 @@ def test_linearity(m):
 def test_pure_tone(m, q):
     x = np.cos(2.0 * np.pi * np.arange(m) * q / m).astype(np.float32)
     buf = x.copy()
-    Radix2LeafKernel(m).transform(buf)
+    LeafKernel(m).transform(buf)
     tol = 1e-3 * m
     assert abs(buf[2 * q] - m / 2) <= tol
     rest = np.delete(buf.astype(np.float64), 2 * q)
@@ -105,13 +108,13 @@ def test_pure_tone(m, q):
 def test_kernels_of_equal_size_agree_bitwise():
     x = random_f32(256, seed=9)
     a, b = x.copy(), x.copy()
-    Radix2LeafKernel(256).transform(a)
-    Radix2LeafKernel(256).transform(b)
+    LeafKernel(256).transform(a)
+    LeafKernel(256).transform(b)
     assert np.array_equal(a, b)
 
 
 def test_kernel_reuse_is_stable():
-    kernel = Radix2LeafKernel(64)
+    kernel = LeafKernel(64)
     x = random_f32(64, seed=3)
     first = x.copy()
     kernel.transform(first)
@@ -119,3 +122,45 @@ def test_kernel_reuse_is_stable():
         buf = x.copy()
         kernel.transform(buf)
         assert np.array_equal(buf, first)
+
+
+@pytest.mark.parametrize("m", [2 ** 16, 2 ** 18])
+def test_spot_checks_at_benchmark_bin_sizes(m):
+    """DC, Nyquist and four seeded coefficients against the direct sum."""
+    x = random_f32(m, seed=m + 5)
+    buf = x.copy()
+    LeafKernel(m).transform(buf)
+    rng = np.random.default_rng(m)
+    ks = [0, m // 2] + [int(k) for k in rng.integers(1, m // 2, size=4)]
+    exact = np.array([naive_dft_at(x, k) for k in ks])
+    computed = np.array([PermSpectrum(buf).coefficient(k) for k in ks])
+    scale = np.maximum(np.abs(exact), np.sqrt(np.mean(np.abs(exact) ** 2)))
+    assert np.max(np.abs(computed - exact) / scale) <= 1e-5
+
+
+def test_concurrent_kernels_agree_bitwise():
+    """Two threads transforming the same input at once get the same bits."""
+    m = 2 ** 16
+    x = random_f32(m, seed=21)
+    expected = x.copy()
+    LeafKernel(m).transform(expected)
+    rounds = 20
+    outputs = [[], []]
+    barrier = threading.Barrier(2, timeout=30)
+
+    def worker(slot):
+        kernel = LeafKernel(m)
+        for _ in range(rounds):
+            buf = x.copy()
+            barrier.wait()
+            kernel.transform(buf)
+            outputs[slot].append(buf)
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert all(len(out) == rounds for out in outputs)
+    for buf in outputs[0] + outputs[1]:
+        assert np.array_equal(buf, expected)

@@ -125,7 +125,7 @@ class TestFullPipeline:
             h.data[:] = x
             out = np.array(h.run())
         buf = x.copy()
-        efft.Radix2LeafKernel(n).transform(buf)
+        efft.LeafKernel(n).transform(buf)
         assert np.array_equal(out, buf)
 
     @pytest.mark.parametrize("s", [0, 1, 2])
