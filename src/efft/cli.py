@@ -114,14 +114,14 @@ def cmd_check(n, splits, workers, spot_checks=64, test_mode=False,
     """
     try:
         plan = plan_create(n, splits, workers, test_mode=test_mode)
+        signal = random_signal(n, DEFAULT_SEED)
+        with handle_create(plan) as handle:
+            handle.data[:] = signal
+            seconds = best_of_repeats(handle, repeats=1)
+            packed = np.array(handle.result, dtype=np.float64)
     except EfftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    signal = random_signal(n, DEFAULT_SEED)
-    with handle_create(plan) as handle:
-        handle.data[:] = signal
-        seconds = best_of_repeats(handle, repeats=1)
-        packed = np.array(handle.result, dtype=np.float64)
     if corrupt:
         packed[0] += 1.0
 
@@ -155,13 +155,12 @@ def cmd_bench(n, splits, workers, repeats=DEFAULT_REPEATS, test_mode=False,
     """Benchmark one configuration with the fixed-seed random signal."""
     try:
         plan = plan_create(n, splits, workers, test_mode=test_mode)
+        with handle_create(plan) as handle:
+            handle.data[:] = random_signal(n, DEFAULT_SEED)
+            seconds = best_of_repeats(handle, repeats)
     except EfftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    signal = random_signal(n, DEFAULT_SEED)
-    with handle_create(plan) as handle:
-        handle.data[:] = signal
-        seconds = best_of_repeats(handle, repeats)
     metrics = RunMetrics.from_timing(n, splits, workers, seconds,
                                      peak_mem_bytes=_mem_field(want_mem))
     print(CSV_HEADER)

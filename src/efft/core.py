@@ -2,10 +2,10 @@
 
 A plan fixes one transform configuration: size n, number of radix-2 splits
 s, the derived bin count b = 2**s and bin size m = n/b, the bit-reversal
-bin map, the two tile lengths, and the worker count.  A handle owns the
-64-byte-aligned input and scratch buffers for a plan plus one private leaf
-kernel per worker, and is meant to be created once and reused for any
-number of transforms.
+bin map, the tile length on which merge pieces are cut, and the worker
+count.  A handle owns the 64-byte-aligned input and scratch buffers for a
+plan plus one private leaf kernel per worker, and is meant to be created
+once and reused for any number of transforms.
 
 Packed spectrum layout (length-M real buffer for a length-M real input):
 
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     BinsizeNotPowerOfTwo,
     IndexOutOfRange,
+    InvalidPlan,
     SizeConstraintViolation,
     SplitsTooLarge,
 )
@@ -31,7 +32,6 @@ from .memory import aligned_empty
 from .parallel import WorkerPool, chunk_ranges
 from .scatter import build_scatter_index
 
-DEFAULT_I_TILE = 16
 DEFAULT_K_TILE = 64
 
 # Production sizes must be multiples of 2**(splits + SIZE_GRAIN_BITS); the
@@ -48,7 +48,6 @@ class TransformPlan:
     bins: int
     binsize: int
     scatter_index: np.ndarray = field(repr=False)
-    i_tile: int
     k_tile: int
     workers: int
     test_mode: bool = False
@@ -56,7 +55,7 @@ class TransformPlan:
     def __repr__(self):
         return (
             f"TransformPlan(n={self.n}, splits={self.splits}, bins={self.bins}, "
-            f"binsize={self.binsize}, i_tile={self.i_tile}, k_tile={self.k_tile}, "
+            f"binsize={self.binsize}, k_tile={self.k_tile}, "
             f"workers={self.workers}, test_mode={self.test_mode})"
         )
 
@@ -67,7 +66,6 @@ def plan_create(
     workers: int = 1,
     *,
     test_mode: bool = False,
-    i_tile: int = DEFAULT_I_TILE,
     k_tile: int = DEFAULT_K_TILE,
 ) -> TransformPlan:
     """Validate a configuration and derive its bins, bin size, and bin map.
@@ -77,13 +75,13 @@ def plan_create(
     kernel accepts.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidPlan(f"n must be >= 1, got {n}")
     if splits < 0:
-        raise ValueError("splits must be >= 0")
+        raise InvalidPlan(f"splits must be >= 0, got {splits}")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if i_tile < 1 or k_tile < 1:
-        raise ValueError("tile lengths must be >= 1")
+        raise InvalidPlan(f"workers must be >= 1, got {workers}")
+    if k_tile < 1:
+        raise InvalidPlan(f"k_tile must be >= 1, got {k_tile}")
 
     bins = 1 << splits
     if bins > n:
@@ -105,7 +103,6 @@ def plan_create(
         bins=bins,
         binsize=binsize,
         scatter_index=build_scatter_index(splits),
-        i_tile=i_tile,
         k_tile=k_tile,
         workers=workers,
         test_mode=test_mode,

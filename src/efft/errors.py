@@ -5,6 +5,10 @@ class EfftError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidPlan(EfftError, ValueError):
+    """A plan argument is out of range (n, workers or k_tile < 1, splits < 0)."""
+
+
 class SizeConstraintViolation(EfftError, ValueError):
     """Transform size is not a multiple of 2**(splits+8) outside test mode."""
 

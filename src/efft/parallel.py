@@ -1,7 +1,7 @@
 """Worker pool that runs the transform stages as flat batches of chunks.
 
 Every stage is one parallel_for over a list of independent chunks: the
-scatter tiles, the leaf bins, and then one batch per merge level.  The
+scatter chunks, the leaf bins, and then one batch per merge level.  The
 workers of a batch (the calling thread plus T-1 pool threads) claim chunk
 indices from the shared batch one at a time until none is left, so a slow
 chunk never holds up the others.  parallel_for returns, or raises the

@@ -2,13 +2,16 @@
 
 Element i*b + j of the input lands in bin bit_reverse(j) at offset i, which
 is exactly s rounds of even/odd separation collapsed into one pass.  The
-work is split over contiguous ranges of i-tiles, about 8 chunks per worker,
+work is split over contiguous ranges of rows i, about 8 chunks per worker,
 so a worker that finishes early claims another chunk instead of idling.
 With one worker the chunks run in order on the caller; whether cutting the
 rows into chunks there helps (as cache blocking) or costs has not been
 measured.  Within a chunk, each bin's run is written unit-stride while the
 input is read with stride b, the cache-friendly order for b much smaller
-than the bin size.
+than the bin size.  Each chunk then checks the values it wrote for NaN and
+infinity while they are still in cache; the scratch buffer is undefined
+until a run succeeds, so a chunk written before another one raised is
+harmless.
 """
 
 import numpy as np
@@ -39,9 +42,6 @@ def scatter(input_buf: np.ndarray, scratch_buf: np.ndarray, plan, pool=None) -> 
         raise SizeMismatch(
             f"buffers must have length {n}, got {input_buf.shape} and {scratch_buf.shape}"
         )
-    if not np.all(np.isfinite(input_buf)):
-        raise NonFiniteInput("input contains non-finite values")
-
     bins = plan.bins
     binsize = plan.binsize
     sidx = plan.scatter_index
@@ -52,8 +52,10 @@ def scatter(input_buf: np.ndarray, scratch_buf: np.ndarray, plan, pool=None) -> 
         block = src[lo:hi, :]
         for j in range(bins):
             dst[sidx[j], lo:hi] = block[:, j]
+        if not np.isfinite(dst[:, lo:hi]).all():
+            raise NonFiniteInput("input contains non-finite values")
 
-    chunks = chunk_ranges(0, binsize, plan.i_tile, TASKS_PER_WORKER * plan.workers)
+    chunks = chunk_ranges(0, binsize, 1, TASKS_PER_WORKER * plan.workers)
     if pool is None:
         for lo, hi in chunks:
             body(lo, hi)

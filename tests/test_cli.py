@@ -7,9 +7,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from efft import cli
 from efft.bench import CSV_HEADER, DEFAULT_SEED, random_signal, write_signal
 from efft.cli import main
+from efft.errors import AllocationFailure
 from efft.oracle import naive_dft, pack_perm
 
 
@@ -101,6 +104,30 @@ class TestTransform:
         assert proc.returncode == 1
         assert "error: input contains non-finite values" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestCleanErrors:
+    @pytest.mark.parametrize("command", ["bench", "check"])
+    @pytest.mark.parametrize("size, splits", [("0", "0"), ("2^20", "-1")])
+    def test_bad_plan_arguments(self, command, size, splits, capsys):
+        code, stdout, stderr = run_cli(
+            [command, "--size", size, "--splits", splits, "--workers", "1"], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["bench", "check"])
+    def test_allocation_failure(self, command, capsys, monkeypatch):
+        def fail(plan):
+            raise AllocationFailure("cannot allocate 64 bytes")
+
+        monkeypatch.setattr(cli, "handle_create", fail)
+        code, stdout, stderr = run_cli(
+            [command, "--size", "2^10", "--splits", "1", "--workers", "1",
+             "--test-mode"], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert "error: cannot allocate 64 bytes" in stderr
 
 
 class TestScan:

@@ -18,7 +18,7 @@ class TestPlanCreate:
         plan = plan_create(2 ** 20, 4, workers=8)
         assert plan.bins == 16
         assert plan.binsize == 65536
-        assert plan.i_tile == 16 and plan.k_tile == 64
+        assert plan.k_tile == 64
 
     def test_size_constraint_enforced(self):
         with pytest.raises(errors.SizeConstraintViolation):
@@ -43,14 +43,14 @@ class TestPlanCreate:
             plan_create(16, 5, workers=1, test_mode=True)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.InvalidPlan):
             plan_create(0, 0, workers=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.InvalidPlan):
             plan_create(256, -1, workers=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.InvalidPlan):
             plan_create(256, 0, workers=0)
-        with pytest.raises(ValueError):
-            plan_create(256, 0, workers=1, i_tile=0)
+        with pytest.raises(errors.InvalidPlan):
+            plan_create(256, 0, workers=1, k_tile=0)
 
     def test_deterministic(self):
         a = plan_create(2 ** 12, 3, workers=2, test_mode=True)
@@ -136,6 +136,21 @@ class TestHandle:
         with pytest.raises(errors.HandleClosed):
             efft.run_transform(h)
 
+
+    def test_non_finite_input_in_the_last_chunk_leaves_the_handle_usable(self):
+        plan = plan_create(2 ** 12, 2, workers=2, test_mode=True)
+        x = random_f32(plan.n, seed=21)
+        with handle_create(plan) as fresh:
+            fresh.data[:] = x
+            expected = np.array(fresh.run())
+        with handle_create(plan) as h:
+            # Input element i*bins + j is scatter row i; the last rows form the last chunk.
+            h.data[:] = x
+            h.data[-1] = np.nan
+            with pytest.raises(errors.NonFiniteInput):
+                h.run()
+            h.data[:] = x
+            assert np.array_equal(h.run(), expected)
 
     def test_busy_handle_refuses_a_second_run(self):
         n = 2 ** 10

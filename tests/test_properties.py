@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from efft.core import handle_create, plan_create
+from efft.leaf_dft import LeafKernel
 from efft.oracle import l2_norm, naive_dft, pack_perm
+from efft.recombine import reassemble_pair_inplace, run_transform
+from efft.scatter import scatter
 
 from conftest import random_f32
 
@@ -21,12 +24,11 @@ def reference(n, seed):
 
 @st.composite
 def configs(draw):
-    """Valid (n, s, T, i_tile, k_tile, test_mode) with n <= 2^12.
+    """Valid (n, s, T, k_tile, test_mode) with n <= 2^12.
 
     Outside test mode n must be a multiple of 2**(s+8); in either mode the
-    bin size n / 2**s is at least 4.  Tiles need not divide anything, and
-    k_tile reaches past m/4 so that merges take the basic-kernel path
-    (m < 4*k_tile) as well as the in-place one.
+    bin size n / 2**s is at least 4.  k_tile need not divide anything, and
+    it reaches past m/4, so a level may be one coefficient range or many.
     """
     test_mode = draw(st.booleans())
     log_n = draw(st.integers(2 if test_mode else 8, 12))
@@ -35,7 +37,6 @@ def configs(draw):
         n=1 << log_n,
         splits=splits,
         workers=draw(st.sampled_from([1, 2, 3])),
-        i_tile=draw(st.integers(1, 40)),
         k_tile=draw(st.integers(1, 600)),
         test_mode=test_mode,
     )
@@ -43,7 +44,7 @@ def configs(draw):
 
 def transform(cfg, x, workers):
     plan = plan_create(cfg["n"], cfg["splits"], workers, test_mode=cfg["test_mode"],
-                       i_tile=cfg["i_tile"], k_tile=cfg["k_tile"])
+                       k_tile=cfg["k_tile"])
     with handle_create(plan) as h:
         h.data[:] = x
         return np.array(h.run())
@@ -56,3 +57,27 @@ def test_any_configuration_matches_oracle_and_one_worker(cfg, seed):
     out = transform(cfg, x, cfg["workers"])
     assert l2_norm(out.astype(np.float64), reference(cfg["n"], seed)) <= 1e-6
     assert np.array_equal(out, transform(cfg, x, 1))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(cfg=configs(), seed=st.integers(0, 2))
+def test_public_stages_replay_run_transform(cfg, seed):
+    # The serial stage-by-stage replay the benchmark's traced run performs:
+    # scatter, each bin's leaf, then every segment's merge, deepest first.
+    n, binsize = cfg["n"], cfg["n"] >> cfg["splits"]
+    plan = plan_create(n, cfg["splits"], cfg["workers"], test_mode=cfg["test_mode"],
+                       k_tile=cfg["k_tile"])
+    x = random_f32(n, seed)
+    buf = np.empty(n, dtype=np.float32)
+    scatter(x, buf, plan, pool=None)
+    kernel = LeafKernel(binsize)
+    for lo in range(0, n, binsize):
+        kernel.transform(buf[lo:lo + binsize])
+    length = 2 * binsize
+    while length <= n:
+        for lo in range(0, n, length):
+            reassemble_pair_inplace(buf[lo:lo + length], length // 2, cfg["k_tile"])
+        length *= 2
+    with handle_create(plan) as h:
+        h.data[:] = x
+        assert np.array_equal(buf, run_transform(h))

@@ -93,7 +93,7 @@ class TestInplaceKernel:
             reassemble_pair_inplace(seg, m, 64)
             assert np.array_equal(seg, target)
 
-    def test_small_m_falls_back_to_basic(self):
+    def test_small_m_matches_basic(self):
         m = 8
         evens, odds = random_f32(m, seed=1), random_f32(m, seed=2)
         target = np.empty(2 * m, dtype=np.float32)
@@ -112,9 +112,22 @@ class TestInplaceKernel:
         reassemble_pair_inplace(seg, m, k_tile)
         assert np.array_equal(seg, target)
 
+    @pytest.mark.parametrize("m, k_tile", [(2, 64), (6, 64), (258, 1), (1 << 17, 64),
+                                          (1 << 17, 600)])
+    def test_any_even_m_matches_basic(self, m, k_tile):
+        # 2^17 spans more coefficients than one piece holds, cut on k_tile boundaries.
+        evens, odds = random_f32(m, seed=8), random_f32(m, seed=9)
+        target = np.empty(2 * m, dtype=np.float32)
+        reassemble_pair_basic(evens, odds, target)
+        seg = np.concatenate([evens, odds])
+        reassemble_pair_inplace(seg, m, k_tile)
+        assert np.array_equal(seg, target)
+
     def test_size_mismatch(self):
         with pytest.raises(errors.SizeMismatch):
             reassemble_pair_inplace(np.zeros(24, np.float32), 16, 4)
+        with pytest.raises(errors.SizeMismatch):
+            reassemble_pair_inplace(np.ones(514, np.float32), 257, 64)
 
 
 class TestFullPipeline:

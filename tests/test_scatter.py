@@ -67,12 +67,13 @@ def test_inverse_gather_reconstructs_exactly():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4, 8])
-@pytest.mark.parametrize("i_tile", [1, 16, 64])
-def test_output_independent_of_workers_and_tile(workers, i_tile):
-    n, s = 1 << 12, 4
+@pytest.mark.parametrize("bins", [1, 16, 64])
+def test_output_independent_of_workers_and_tile(workers, bins):
+    # The rows each chunk moves follow from the bin size and the worker count.
+    n, s = 1 << 12, bins.bit_length() - 1
     x = random_f32(n, seed=7)
     reference = run_scatter(x, plan_create(n, s, workers=1, test_mode=True))
-    plan = plan_create(n, s, workers=workers, test_mode=True, i_tile=i_tile)
+    plan = plan_create(n, s, workers=workers, test_mode=True)
     pool = WorkerPool(workers)
     try:
         assert np.array_equal(run_scatter(x, plan, pool=pool), reference)
@@ -89,7 +90,7 @@ def test_matches_naive_even_odd_scatter(n):
 
 
 def test_partial_tile_epilogue():
-    # binsize 4 with the default i_tile 16 exercises the short final tile
+    # binsize 4 gives fewer rows than chunks, so every chunk is a single row
     plan = plan_create(64, 4, workers=1, test_mode=True)
     x = random_f32(64, seed=11)
     assert np.array_equal(run_scatter(x, plan), naive_even_odd_scatter(x, 4))
