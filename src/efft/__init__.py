@@ -14,7 +14,7 @@ Typical use:
 """
 
 from . import errors
-from .bench import RunMetrics, efficiency, flops_model, peak_memory_probe
+from .bench import RunMetrics, flops_model, peak_memory_probe
 from .core import (
     PermSpectrum,
     TransformHandle,
@@ -36,7 +36,6 @@ __all__ = [
     "TransformPlan",
     "LeafKernel",
     "build_scatter_index",
-    "efficiency",
     "errors",
     "flops_model",
     "handle_create",

@@ -1,4 +1,4 @@
-"""Run metrics, the FLOP model, parallel efficiency, and raw-signal I/O.
+"""Run metrics, the FLOP model, and raw-signal I/O.
 
 Performance is always derived from the wall-clock time of the transform
 call alone (handle construction is excluded; it is often slower than the
@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import MissingBaseline, NonPositiveSize
+from .errors import NonPositiveSize
 from .memory import allocation_high_water
 
 CSV_HEADER = "size,splits,workers,runtime_s,gflops,l2,mem_bytes,status"
@@ -29,14 +29,6 @@ def flops_model(n: int) -> float:
     if n <= 0:
         raise NonPositiveSize(f"transform size must be positive, got {n}")
     return 2.5 * n * math.log2(n)
-
-
-def efficiency(perf_by_workers: dict) -> dict:
-    """Parallel efficiency eta(T) = P(T) / (T * P(1)) for each entry."""
-    if 1 not in perf_by_workers or not perf_by_workers[1] > 0:
-        raise MissingBaseline("need a positive single-worker performance P(1)")
-    p1 = perf_by_workers[1]
-    return {t: p / (t * p1) for t, p in perf_by_workers.items()}
 
 
 @dataclass

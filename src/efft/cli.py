@@ -220,6 +220,9 @@ def main(argv=None) -> int:
     try:
         n = parse_size(args.size)
         workers = resolve_workers(args.workers)
+        for count in ("repeats", "spot_checks"):
+            if getattr(args, count, 1) < 1:
+                raise ValueError(f"--{count.replace('_', '-')} must be >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,10 +45,6 @@ class NonPositiveSize(EfftError, ValueError):
     """The FLOP model needs a positive transform size."""
 
 
-class MissingBaseline(EfftError, ValueError):
-    """Parallel efficiency needs a single-worker performance entry."""
-
-
 class HandleClosed(EfftError):
     """A transform was requested on a handle that has been closed."""
 

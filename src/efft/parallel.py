@@ -11,9 +11,18 @@ batch leaves nothing still writing into the caller's buffers.
 Correctness of client code must not depend on which worker runs which
 chunk; the stages only ever write disjoint buffer regions, so results are
 identical under any schedule.
+
+BLOCK, 2^17 float32 elements (512 KiB), is the one size constant of the
+stages: the most data one chunk of a pass over memory moves.  A scatter
+chunk moves at most BLOCK elements, and a merge piece holds at most
+BLOCK // 8 coefficient pairs, because each pair reads and writes 8 floats.  On a Xeon with a 2
+MiB L2, scatter at (n, s, T) = (2^22, 4, 1) took 7.1-7.6 ms with blocks of
+2^16 to 2^18 elements, 12.9 ms at 2^19 and 17.6 ms at 2^20.
 """
 
 import threading
+
+BLOCK = 1 << 17
 
 
 class WorkerPool:

@@ -35,12 +35,8 @@ import numpy as np
 
 from .errors import HandleBusy, HandleClosed, SizeMismatch
 from .memory import aligned_empty
-from .parallel import chunk_ranges
+from .parallel import BLOCK, chunk_ranges
 from .scatter import scatter
-
-# Coefficient pairs one piece merges at most (rows times coefficients); it
-# bounds the workspace lanes to a cache-friendly size.
-MERGE_BLOCK = 1 << 14
 
 
 def _twiddle_lanes(m: int, k: np.ndarray, out=None):
@@ -109,7 +105,7 @@ _tls = threading.local()
 def _workspace() -> _MergeWorkspace:
     ws = getattr(_tls, "merge_ws", None)
     if ws is None:
-        ws = _tls.merge_ws = _MergeWorkspace(MERGE_BLOCK)
+        ws = _tls.merge_ws = _MergeWorkspace(BLOCK // 8)
     return ws
 
 
@@ -141,7 +137,7 @@ def _merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
 
     rows is an (R, 2m) view whose rows each hold two adjacent packed
     half-spectra (evens then odds, m slots each), with R * (kb - ka) at
-    most MERGE_BLOCK.  For every k in the range the mirror mu = m/2 - k is
+    most BLOCK // 8.  For every k in the range the mirror mu = m/2 - k is
     processed in the same pass: F_k overwrites E_k, F_{m-k} overwrites O_mu,
     F_mu overwrites E_mu and F_{m/2+k} overwrites O_k, so the writes land
     exactly on the slots the gathers came from.  All gathers are copied
@@ -188,19 +184,20 @@ def _merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
 def _pieces(rows: np.ndarray, m: int, k_tile: int, workers: int):
     """(rows[r0:r1], m, ka, kb) pieces that cover one merge level.
 
-    Coefficients 1..m/4 are cut on k_tile boundaries (k_tile capped at
-    MERGE_BLOCK) into runs of at most MERGE_BLOCK, and rows are grouped so
-    that no piece holds more than MERGE_BLOCK coefficient pairs.  A level
-    with fewer rows than workers gets shorter runs, and one with more gets
-    smaller groups, so that there are about `workers` pieces or more.
+    A piece holds at most cap = BLOCK // 8 coefficient pairs, because each
+    pair reads and writes 8 floats.  Coefficients 1..m/4 are cut on k_tile
+    boundaries (k_tile capped at cap) into runs of at most cap, and rows are
+    grouped so that no piece holds more than cap pairs.  A level with fewer
+    rows than workers gets shorter runs, and one with more gets smaller
+    groups, so that there are about `workers` pieces or more.
     """
-    segments, kend = rows.shape[0], m // 4 + 1
-    tile = min(k_tile, MERGE_BLOCK)
+    segments, kend, cap = rows.shape[0], m // 4 + 1, BLOCK // 8
+    tile = min(k_tile, cap)
     tiles = -(-(kend - 1) // tile)
     # The longest run that fits a piece, shortened while rows are fewer than workers.
-    run = tile * max(1, min(MERGE_BLOCK // tile, -(-tiles // -(-workers // segments))))
+    run = tile * max(1, min(cap // tile, -(-tiles // -(-workers // segments))))
     # As many rows as fit beside the run, but no more than a worker's share.
-    group = max(1, min(MERGE_BLOCK // max(1, min(run, kend - 1)), -(-segments // workers)))
+    group = max(1, min(cap // max(1, min(run, kend - 1)), -(-segments // workers)))
     ks = [(ka, min(ka + run, kend)) for ka in range(1, kend, run)] or [(1, 1)]
     return [(rows[r0:r0 + group], m, ka, kb)
             for r0 in range(0, segments, group) for ka, kb in ks]

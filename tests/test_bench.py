@@ -8,7 +8,6 @@ import pytest
 from efft import errors
 from efft.bench import (
     RunMetrics,
-    efficiency,
     failed_row,
     flops_model,
     parse_int_list,
@@ -34,19 +33,6 @@ class TestFlopsModel:
             flops_model(0)
         with pytest.raises(errors.NonPositiveSize):
             flops_model(-4)
-
-
-class TestEfficiency:
-    def test_examples(self):
-        assert efficiency({1: 2.0, 4: 6.0}) == {1: 1.0, 4: 0.75}
-        eta = efficiency({1: 3.3, 2: 6.6})
-        assert eta[2] == pytest.approx(1.0)
-
-    def test_missing_baseline(self):
-        with pytest.raises(errors.MissingBaseline):
-            efficiency({2: 4.0})
-        with pytest.raises(errors.MissingBaseline):
-            efficiency({1: 0.0, 2: 4.0})
 
 
 class TestRunMetrics:

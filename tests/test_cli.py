@@ -116,6 +116,17 @@ class TestCleanErrors:
         assert stdout == ""
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--size", "2^15", "--splits", "1", "--spot-checks", "0"],
+        ["check", "--size", "2^15", "--splits", "1", "--spot-checks", "-3"],
+        ["bench", "--size", "2^10", "--splits", "1", "--repeats", "0"],
+    ])
+    def test_count_below_one(self, argv, capsys):
+        code, stdout, stderr = run_cli(argv + ["--workers", "1"], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
+
     @pytest.mark.parametrize("command", ["bench", "check"])
     def test_allocation_failure(self, command, capsys, monkeypatch):
         def fail(plan):

@@ -1,5 +1,6 @@
 """Tests for plan validation, buffer management, and the packed layout view."""
 
+import importlib
 import threading
 
 import numpy as np
@@ -152,6 +153,12 @@ class TestHandle:
             h.data[:] = x
             assert np.array_equal(h.run(), expected)
 
+    @pytest.mark.parametrize("block", [64, 96])
+    def test_non_finite_input_in_the_last_of_many_blocks(self, block, monkeypatch):
+        # 2^12 elements in 43-64 scatter chunks; at 96 the last chunk is partial.
+        monkeypatch.setattr(importlib.import_module("efft.scatter"), "BLOCK", block)
+        self.test_non_finite_input_in_the_last_chunk_leaves_the_handle_usable()
+
     def test_busy_handle_refuses_a_second_run(self):
         n = 2 ** 10
         with handle_create(plan_create(n, 1, workers=2, test_mode=True)) as h:
@@ -224,3 +231,15 @@ class TestPermSpectrum:
             spectrum.coefficient(8)
         with pytest.raises(ValueError):
             PermSpectrum(np.zeros(7, dtype=np.float32))
+
+
+def test_public_names():
+    # A new public name is a deliberate edit of this list.
+    assert sorted(efft.__all__) == sorted([
+        "LeafKernel", "PermSpectrum", "RunMetrics", "TransformHandle",
+        "TransformPlan", "build_scatter_index", "errors", "flops_model",
+        "handle_create", "l2_norm", "naive_dft", "naive_dft_at", "pack_perm",
+        "peak_memory_probe", "plan_create", "reassemble_pair_basic",
+        "reassemble_pair_inplace", "run_transform", "scatter",
+    ])
+    assert all(hasattr(efft, name) for name in efft.__all__)

@@ -1,5 +1,6 @@
-"""Tests for the bin map and the tiled scatter stage."""
+"""Tests for the bin map and the blocked scatter stage."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from efft import errors
 from efft.core import plan_create
-from efft.parallel import WorkerPool
+from efft.parallel import BLOCK, WorkerPool
 from efft.scatter import build_scatter_index, scatter
 
 from conftest import naive_even_odd_scatter, random_f32
@@ -29,6 +30,10 @@ def test_index_is_involution(s):
 def test_negative_splits_rejected():
     with pytest.raises(ValueError):
         build_scatter_index(-1)
+
+
+# The package re-exports the scatter function under the module's own name.
+scatter_module = importlib.import_module("efft.scatter")
 
 
 def run_scatter(x, plan, pool=None):
@@ -69,16 +74,54 @@ def test_inverse_gather_reconstructs_exactly():
 @pytest.mark.parametrize("workers", [1, 2, 4, 8])
 @pytest.mark.parametrize("bins", [1, 16, 64])
 def test_output_independent_of_workers_and_tile(workers, bins):
-    # The rows each chunk moves follow from the bin size and the worker count.
+    # The rows each chunk moves follow from the block size and the worker count.
     n, s = 1 << 12, bins.bit_length() - 1
     x = random_f32(n, seed=7)
-    reference = run_scatter(x, plan_create(n, s, workers=1, test_mode=True))
     plan = plan_create(n, s, workers=workers, test_mode=True)
     pool = WorkerPool(workers)
     try:
-        assert np.array_equal(run_scatter(x, plan, pool=pool), reference)
+        assert np.array_equal(run_scatter(x, plan, pool=pool), naive_even_odd_scatter(x, s))
     finally:
         pool.shutdown()
+
+
+@pytest.mark.parametrize("block", [64, 96])
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+@pytest.mark.parametrize("bins", [1, 16, 64])
+def test_output_independent_of_block(workers, bins, block, monkeypatch):
+    # Small blocks cut 2^12 elements into 32-64 chunks even at T=1; at 96,
+    # which is no power of two, the last chunk is partial for 1 and 16 bins.
+    monkeypatch.setattr(scatter_module, "BLOCK", block)
+    test_output_independent_of_workers_and_tile(workers, bins)
+
+
+class RecordingPool:
+    """Runs a batch inline, in order, and records its chunks."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def parallel_for(self, chunks, body):
+        for chunk in chunks:
+            self.chunks.append(chunk)
+            body(*chunk)
+
+
+@pytest.mark.parametrize("n, s, workers, block, expected", [
+    (1 << 12, 4, 1, 96, 43),        # 42 chunks of 6 rows and a last one of 4
+    (1 << 12, 4, 8, BLOCK, 8),      # one block of data, but a chunk per worker
+    (1 << 12, 4, 1, 64, 64),
+    (1 << 12, 8, 1, 64, 16),        # a row of 256 outgrows the block: one row each
+])
+def test_chunks_hold_at_most_one_block(n, s, workers, block, expected, monkeypatch):
+    monkeypatch.setattr(scatter_module, "BLOCK", block)
+    plan = plan_create(n, s, workers=workers, test_mode=True)
+    pool = RecordingPool()
+    run_scatter(random_f32(n, seed=3), plan, pool=pool)
+    sizes = [(hi - lo) * plan.bins for lo, hi in pool.chunks]
+    assert len(sizes) == expected
+    assert max(sizes) <= max(block, plan.bins)
+    assert sum(sizes) == n
 
 
 @pytest.mark.parametrize("n", [1 << 8, 1 << 12, 1 << 16])
