@@ -150,6 +150,8 @@ def parse_size(text: str) -> int:
         base, _, exp = text.partition("^")
         if base.strip() != "2":
             raise ValueError(f"only powers of two are supported, got {text!r}")
+        if int(exp) < 0:
+            raise ValueError(f"the exponent must be >= 0, got {text!r}")
         return 2 ** int(exp)
     return int(text)
 

@@ -114,8 +114,8 @@ def cmd_check(n, splits, workers, spot_checks=64, test_mode=False,
     """
     try:
         plan = plan_create(n, splits, workers, test_mode=test_mode)
-        signal = random_signal(n, DEFAULT_SEED)
         with handle_create(plan) as handle:
+            signal = random_signal(n, DEFAULT_SEED)
             handle.data[:] = signal
             seconds = best_of_repeats(handle, repeats=1)
             packed = np.array(handle.result, dtype=np.float64)

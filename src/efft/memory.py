@@ -50,7 +50,7 @@ def aligned_empty(n: int, dtype=np.float32) -> np.ndarray:
     nbytes = n * itemsize
     try:
         raw = np.empty(nbytes + ALIGNMENT, dtype=np.uint8)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # ValueError: a size numpy refuses outright
         raise AllocationFailure(f"cannot allocate {nbytes} bytes") from exc
     offset = (-raw.ctypes.data) % ALIGNMENT
     buf = raw[offset:offset + nbytes].view(dtype)

@@ -16,17 +16,32 @@ W_k = exp(-i*pi*k/m):
     F_{k+m}   = E_k - W_k * O_k
 
 and conjugate symmetry F_{2m-k} = F_k* locates the stored image of every
-index above m.  The in-place kernel pairs coefficient k with its mirror
-m/2-k, which makes the four outputs land exactly on the memory slots the
-four inputs came from.  The out-of-place basic kernel is the normative
-reference for the arithmetic; the in-place kernel evaluates the same
-float32 expressions on the same twiddle values, each one a separately
-rounded multiply, add or subtract, so the two agree bitwise whatever the
-memory layout of the operands.
+index above m.  Both kernels work on the complex64 view of the packed
+float32 spectra, where slot k (0 < k < m/2) of a half holds E_k or O_k and
+slot 0 holds the real DC and Nyquist terms.  Each pair k computes
+t = W_k * O_k once, then F_k = E_k + t and F_{m-k} = conj(E_k - t).
 
-The in-place hot path runs out of per-thread workspace lanes (twiddles,
-gathers, temporaries) and never allocates: concurrent merges would
-otherwise serialize on the allocator.
+The in-place kernel pairs coefficient k with its mirror mu = m/2-k, which
+makes the four outputs land exactly on the memory slots the four inputs
+came from: F_k on E_k, F_{m-k} on O_mu, F_mu on E_mu and F_{m/2+k} on O_k.
+The centre k = m/4 is its own mirror and is written once, by the forward
+pair.  The trig is evaluated only for k <= m/4, in single precision from
+a double-precision angle; the mirror twiddle is read off it exactly, as
+W_{m/2-k} = (-Im W_k, -Re W_k).
+
+The out-of-place basic kernel is the normative reference for the
+arithmetic; the in-place kernel evaluates the same float32 expressions on
+the same twiddle values, so the two agree bitwise.  That rests on one
+rule for every complex product: its operands are contiguous lanes and its
+output is a lane that is neither of them.  numpy's complex64 multiply
+rounds differently on strided or reversed operands, and on a product
+written into one of its own operands, than on contiguous ones.  Adds,
+subtracts and conjugates round the same on any layout, so they read and
+write the strided views directly.
+
+The in-place hot path runs out of per-thread workspace lanes (twiddles
+and products) and never allocates: concurrent merges would otherwise
+serialize on the allocator.
 """
 
 import threading
@@ -76,27 +91,27 @@ def reassemble_pair_basic(evens: np.ndarray, odds: np.ndarray, target: np.ndarra
     target[m] = evens[1]
     target[m + 1] = -odds[1]
 
-    c, s = _twiddle_lanes(m, np.arange(1, m // 2))
-    er = evens[2::2]
-    ei = evens[3::2]
-    o_re = odds[2::2]
-    o_im = odds[3::2]
-    tw_re = o_re * c - o_im * s
-    tw_im = o_re * s + o_im * c
-    target[2:m:2] = er + tw_re
-    target[3:m:2] = ei + tw_im
-    target[2 * m - 2:m:-2] = er - tw_re
-    target[2 * m - 1:m + 1:-2] = tw_im - ei
+    # W_j for j = 1..m/2-1: evaluated for j <= m/4, read off W_{m/2-j} above.
+    q, h = m // 4, m // 2
+    c, s = _twiddle_lanes(m, np.arange(1, q + 1))
+    w = np.empty(h - 1, np.complex64)
+    w.real[:q], w.imag[:q] = c, s
+    w.real[q:], w.imag[q:] = -s[:h - q - 1][::-1], -c[:h - q - 1][::-1]
+    e, o, f = (a.view(np.complex64) for a in (evens, odds, target))
+    t = w * o[1:h]
+    f[1:h] = e[1:h] + t
+    f[m - 1:h:-1] = np.conjugate(e[1:h] - t)
 
 
 class _MergeWorkspace:
-    """Reusable per-thread lanes for one merge piece (float32 unless noted)."""
+    """Reusable per-thread lanes for one merge piece of at most cap pairs."""
 
     def __init__(self, cap: int):
         self.base = np.arange(cap, dtype=np.float64)
         self.k = np.empty(cap, dtype=np.float64)
-        self.twiddles = [aligned_empty(cap) for _ in range(4)]
-        self.block = [aligned_empty(cap) for _ in range(11)]
+        # the twiddles W_k and W_mu, and the products t and tm
+        self.w, self.wm, self.t, self.tm = (aligned_empty(cap, np.complex64)
+                                            for _ in range(4))
 
 
 _tls = threading.local()
@@ -109,44 +124,20 @@ def _workspace() -> _MergeWorkspace:
     return ws
 
 
-def _pair(e, o, c, s, lo, hi, t) -> None:
-    """E + W*O over the (re, im) views lo, conj(E - W*O) over hi.
-
-    e and o are the gathered (re, im) lanes of E and O, c and s the twiddle
-    lanes of W, and t three temporaries of the same shape as the lanes.
-    """
-    t1, t2, t3 = t
-    np.multiply(o[0], c, out=t1)
-    np.multiply(o[1], s, out=t2)
-    np.subtract(t1, t2, out=t1)            # Re(W O)
-    np.multiply(o[0], s, out=t2)
-    np.multiply(o[1], c, out=t3)
-    np.add(t2, t3, out=t2)                 # Im(W O)
-    np.add(e[0], t1, out=t3)
-    lo[0][...] = t3
-    np.subtract(e[0], t1, out=t3)
-    hi[0][...] = t3
-    np.add(e[1], t2, out=t3)
-    lo[1][...] = t3
-    np.subtract(t2, e[1], out=t3)
-    hi[1][...] = t3
-
-
 def _merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
     """In-place merge of coefficients [ka, kb) and their mirrors in every row.
 
     rows is an (R, 2m) view whose rows each hold two adjacent packed
     half-spectra (evens then odds, m slots each), with R * (kb - ka) at
-    most BLOCK // 8.  For every k in the range the mirror mu = m/2 - k is
-    processed in the same pass: F_k overwrites E_k, F_{m-k} overwrites O_mu,
-    F_mu overwrites E_mu and F_{m/2+k} overwrites O_k, so the writes land
-    exactly on the slots the gathers came from.  All gathers are copied
-    out before the first write; at k == mu (the center m/4) the two pair
-    computations coincide and the duplicate writes are idempotent.  The
-    twiddles are evaluated once on contiguous lanes and broadcast over the
-    rows.  The piece that starts at ka == 1 also writes the special slots,
-    F_0 and F_m (from the k = 0 terms) and F_{m/2} (from the halves'
-    Nyquist terms).
+    most BLOCK // 8.  On the complex view, E_k and O_k are slots k and
+    m/2 + k.  For every k in the range, F_k overwrites E_k and F_{m-k}
+    overwrites O_mu, mu = m/2 - k; for every k below m/4 the mirror pair
+    also runs, F_mu overwriting E_mu and F_{m/2+k} overwriting O_k, so the
+    writes land exactly on the slots the reads came from.  The centre
+    k = m/4 is written by the forward pair alone.  Both products read O
+    before the first write to it.  The piece that starts at ka == 1 also
+    writes the special slots, F_0 and F_m (from the k = 0 terms) and
+    F_{m/2} (from the halves' Nyquist terms).
     """
     ws = _workspace()
     R, L = rows.shape[0], kb - ka
@@ -154,7 +145,8 @@ def _merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
         rows = rows[0]  # a 1-D view takes numpy's cheaper one-dimensional loops
     shape = rows.shape[:-1]
     if ka == 1:
-        e0, o0 = (lane[:R].reshape(shape) for lane in ws.block[:2])
+        lane = ws.t[:R].view(np.float32)
+        e0, o0 = lane[:R].reshape(shape), lane[R:].reshape(shape)
         e0[...] = rows[..., 0]
         o0[...] = rows[..., m]
         rows[..., m] = rows[..., 1]
@@ -164,21 +156,31 @@ def _merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
     if L == 0:
         return
 
-    k = ws.k[:L]
-    c, s, cm, sm = (lane[:L] for lane in ws.twiddles)
+    h, Lm = m // 2, min(kb, (m + 3) // 4) - ka  # the mirror pairs: 4k < m
+    k, w, wm = ws.k[:L], ws.w[:L], ws.wm[:Lm]
+    c, s = ws.t[:L].view(np.float32).reshape(2, L)   # until the product t needs the lane
     _twiddle_lanes(m, np.add(ws.base[:L], ka, out=k), (c, s))
-    _twiddle_lanes(m, np.subtract(m // 2 - ka, ws.base[:L], out=k), (cm, sm))
+    w.real, w.imag = c, s
+    # W_mu = (-s_k, -c_k) for mu = m/2 - k, in ascending mu: the float pairs
+    # of W_k read backwards and negated.
+    np.negative(w[:Lm].view(np.float32)[::-1], out=wm.view(np.float32))
 
-    e_k = rows[..., 2 * ka:2 * kb:2], rows[..., 2 * ka + 1:2 * kb:2]
-    o_k = rows[..., m + 2 * ka:m + 2 * kb:2], rows[..., m + 2 * ka + 1:m + 2 * kb:2]
-    e_mu = rows[..., m - 2 * ka:m - 2 * kb:-2], rows[..., m - 2 * ka + 1:m - 2 * kb + 1:-2]
-    o_mu = (rows[..., 2 * m - 2 * ka:2 * m - 2 * kb:-2],
-            rows[..., 2 * m - 2 * ka + 1:2 * m - 2 * kb + 1:-2])
-    lanes = [lane[:R * L].reshape(shape + (L,)) for lane in ws.block]
-    for lane, view in zip(lanes, e_k + o_k + e_mu + o_mu):
-        lane[...] = view
-    _pair(lanes[0:2], lanes[2:4], c, s, e_k, o_mu, lanes[8:])      # F_k, F_{m-k}
-    _pair(lanes[4:6], lanes[6:8], cm, sm, e_mu, o_k, lanes[8:])    # F_mu, F_{m/2+k}
+    B = rows.view(np.complex64)
+    e_k, o_k, o_mu = B[..., ka:kb], B[..., h + ka:h + kb], B[..., m - ka:m - kb:-1]
+    lo = h - ka - Lm + 1                        # the mirrors in ascending mu
+    e_mu, o_mu_up = B[..., lo:lo + Lm], B[..., h + lo:h + lo + Lm]
+    o_k_down = B[..., h + ka + Lm - 1:h + ka - 1:-1]
+    t = ws.t[:R * L].reshape(shape + (L,))
+    tm = ws.tm[:R * Lm].reshape(shape + (Lm,))
+    # Contiguous operands, and never out= one of them (module docstring).
+    np.multiply(wm, o_mu_up, out=tm)
+    np.multiply(w, o_k, out=t)
+    np.subtract(e_k, t, out=o_mu)
+    np.conjugate(o_mu, out=o_mu)                # F_{m-k}
+    np.add(e_k, t, out=e_k)                     # F_k
+    np.subtract(e_mu, tm, out=o_k_down)
+    np.conjugate(o_k_down, out=o_k_down)        # F_{m/2+k}
+    np.add(e_mu, tm, out=e_mu)                  # F_mu
 
 
 def _pieces(rows: np.ndarray, m: int, k_tile: int, workers: int):

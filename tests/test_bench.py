@@ -121,6 +121,8 @@ class TestArguments:
         assert parse_size("2^12") == 4096
         with pytest.raises(ValueError):
             parse_size("3^5")
+        with pytest.raises(ValueError):
+            parse_size("2^-3")
 
     def test_parse_int_list(self):
         assert parse_int_list("4") == [4]

@@ -108,7 +108,8 @@ class TestTransform:
 
 class TestCleanErrors:
     @pytest.mark.parametrize("command", ["bench", "check"])
-    @pytest.mark.parametrize("size, splits", [("0", "0"), ("2^20", "-1")])
+    # 2^62 floats exceed numpy's largest array, which numpy refuses before allocating.
+    @pytest.mark.parametrize("size, splits", [("0", "0"), ("2^20", "-1"), ("2^62", "0")])
     def test_bad_plan_arguments(self, command, size, splits, capsys):
         code, stdout, stderr = run_cli(
             [command, "--size", size, "--splits", splits, "--workers", "1"], capsys)

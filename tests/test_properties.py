@@ -52,6 +52,9 @@ def transform(cfg, x, workers):
 
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(cfg=configs(), seed=st.integers(0, 2))
+# A merge that writes a product into one of its own operands fails here.
+@hypothesis.example(cfg={'n': 32, 'splits': 1, 'workers': 2, 'k_tile': 1, 'test_mode': True},
+                    seed=1)
 def test_any_configuration_matches_oracle_and_one_worker(cfg, seed):
     x = random_f32(cfg["n"], seed)
     out = transform(cfg, x, cfg["workers"])

@@ -9,7 +9,10 @@ import efft
 from efft import errors
 from efft.core import PermSpectrum, handle_create, plan_create
 from efft.oracle import l2_norm, naive_dft, naive_dft_at, pack_perm
-from efft.recombine import _twiddle_lanes, reassemble_pair_basic, reassemble_pair_inplace
+from efft.parallel import BLOCK
+from efft.recombine import (
+    _MergeWorkspace, _twiddle_lanes, reassemble_pair_basic, reassemble_pair_inplace,
+)
 
 from conftest import random_f32
 
@@ -122,6 +125,12 @@ class TestInplaceKernel:
         seg = np.concatenate([evens, odds])
         reassemble_pair_inplace(seg, m, k_tile)
         assert np.array_equal(seg, target)
+
+    def test_workspace_bytes(self):
+        # 1,245,184 B held the 15 float32 and 2 float64 real lanes of the
+        # real-lane kernel; the complex kernel needs no more.
+        ws = _MergeWorkspace(BLOCK // 8)
+        assert sum(lane.nbytes for lane in vars(ws).values()) <= 1_245_184
 
     def test_size_mismatch(self):
         with pytest.raises(errors.SizeMismatch):
