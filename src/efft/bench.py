@@ -9,7 +9,6 @@ and tools can rely on one definition.
 
 import math
 import os
-import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -118,16 +117,6 @@ def write_signal(path: str, values: np.ndarray) -> None:
     np.asarray(values, dtype="<f4").tofile(path)
 
 
-def best_of_repeats(handle, repeats: int = DEFAULT_REPEATS) -> float:
-    """Shortest wall time of `repeats` transform runs on a ready handle."""
-    best = math.inf
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        handle.run()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def resolve_workers(flag: Optional[int] = None) -> int:
     """Worker count: CLI flag, then EFFT_WORKERS, then hardware concurrency."""
     if flag is not None:
@@ -161,8 +150,9 @@ def parse_int_list(text: str) -> list:
     text = text.strip()
     if ":" in text:
         lo, _, hi = text.partition(":")
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values

@@ -52,13 +52,6 @@ class TransformPlan:
     workers: int
     test_mode: bool = False
 
-    def __repr__(self):
-        return (
-            f"TransformPlan(n={self.n}, splits={self.splits}, bins={self.bins}, "
-            f"binsize={self.binsize}, k_tile={self.k_tile}, "
-            f"workers={self.workers}, test_mode={self.test_mode})"
-        )
-
 
 def plan_create(
     n: int,

@@ -128,8 +128,9 @@ class TestArguments:
         assert parse_int_list("4") == [4]
         assert parse_int_list("1,2,4") == [1, 2, 4]
         assert parse_int_list("0:3") == [0, 1, 2, 3]
-        with pytest.raises(ValueError):
-            parse_int_list("5:2")
+        for empty in ("5:2", "", ","):
+            with pytest.raises(ValueError):
+                parse_int_list(empty)
 
     def test_resolve_workers_precedence(self, monkeypatch):
         monkeypatch.setenv("EFFT_WORKERS", "3")

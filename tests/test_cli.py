@@ -141,6 +141,29 @@ class TestCleanErrors:
         assert stdout == ""
         assert "error: cannot allocate 64 bytes" in stderr
 
+    @pytest.mark.parametrize("argv", [
+        # numpy refuses the 2^62-float input signal before allocating it.
+        ["scan", "--size", "2^62", "--splits", "0", "--scan-workers", "1"],
+        ["scan", "--size", "2^10", "--splits", "", "--test-mode"],
+        ["scan", "--size", "2^10", "--splits", "1", "--scan-workers", "", "--test-mode"],
+    ])
+    def test_bad_scan_arguments(self, argv, capsys):
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert "Traceback" not in stderr
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        inp = make_input(tmp_path, 2 ** 10)
+        code, stdout, stderr = run_cli(
+            ["transform", "--size", "2^10", "--splits", "0", "--test-mode",
+             "--input", inp, "--output", str(tmp_path / "missing" / "o.f32")], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert "Traceback" not in stderr
+
 
 class TestScan:
     def test_single_cell_grid(self, capsys):
@@ -174,6 +197,23 @@ class TestScan:
         stable1 = [(r[0], r[1], r[2], r[5], r[7]) for r in parse_csv(out1) if r[7] != "best"]
         stable2 = [(r[0], r[1], r[2], r[5], r[7]) for r in parse_csv(out2) if r[7] != "best"]
         assert stable1 == stable2
+
+    def test_rows_do_not_hold_earlier_cells(self):
+        # In a fresh process, so the high-water mark counts this scan alone.
+        n = 2 ** 20
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import efft.cli, efft.memory; "
+            "efft.cli.main(['scan', '--size', '2^20', '--splits', '1:2', "
+            "'--scan-workers', '1', '--repeats', '1']); "
+            "print(efft.memory.allocation_high_water())")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        high_water = int(proc.stdout.splitlines()[-1])
+        assert high_water < 2 * 8 * n  # two handle blocks of 2n floats
 
 
 class TestCheck:

@@ -21,6 +21,11 @@ class TestPlanCreate:
         assert plan.binsize == 65536
         assert plan.k_tile == 64
 
+    def test_repr_hides_the_scatter_index(self):
+        assert repr(plan_create(2 ** 22, 4, workers=2)) == (
+            "TransformPlan(n=4194304, splits=4, bins=16, binsize=262144, "
+            "k_tile=64, workers=2, test_mode=False)")
+
     def test_size_constraint_enforced(self):
         with pytest.raises(errors.SizeConstraintViolation):
             plan_create(2 ** 10, 4, workers=1)
