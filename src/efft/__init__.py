@@ -21,10 +21,11 @@ from .core import (
     TransformPlan,
     handle_create,
     plan_create,
+    run_transform,
 )
 from .leaf_dft import LeafKernel
 from .oracle import l2_norm, naive_dft, naive_dft_at, pack_perm
-from .recombine import reassemble_pair_basic, reassemble_pair_inplace, run_transform
+from .recombine import reassemble_pair_basic, reassemble_pair_inplace
 from .scatter import build_scatter_index, scatter
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .bench import (
     resolve_workers,
     write_signal,
 )
-from .core import PermSpectrum, handle_create, plan_create
+from .core import PermSpectrum, handle_create, plan_create, run_transform
 from .errors import EfftError
 
 FULL_CHECK_LIMIT = 1 << 14
@@ -63,7 +63,7 @@ def _time_plan(args, splits, workers, signal, on_result=lambda result: None):
         best = math.inf
         for _ in range(args.repeats):
             start = time.perf_counter()
-            handle.run()
+            run_transform(handle)
             best = min(best, time.perf_counter() - start)
         return best, on_result(handle.result)
 
@@ -125,8 +125,6 @@ def cmd_check(args) -> int:
     signal = random_signal(args.n, DEFAULT_SEED)
     seconds, packed = _time_plan(args, args.splits, args.workers, lambda: signal,
                                  lambda result: np.array(result, dtype=np.float64))
-    if args.corrupt:
-        packed[0] += 1.0
 
     if args.n <= FULL_CHECK_LIMIT:
         reference = oracle.pack_perm(oracle.naive_dft(signal))
@@ -203,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", type=int, required=True)
     p.add_argument("--spot-checks", type=int, default=64,
                    help="coefficients sampled for sizes above 2^14")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = add_command("bench", cmd_bench, "benchmark one configuration",
                     with_repeats=True, with_mem=True)

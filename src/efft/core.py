@@ -1,4 +1,4 @@
-"""Transform plans, signal buffers, and the packed-spectrum layout contract.
+"""Plans, handles, the pipeline that runs them, and the packed layout.
 
 A plan fixes one transform configuration: size n, number of radix-2 splits
 s, the derived bin count b = 2**s and bin size m = n/b, the bit-reversal
@@ -6,6 +6,15 @@ bin map, the tile length on which merge pieces are cut, and the worker
 count.  A handle owns the 64-byte-aligned input and scratch buffers for a
 plan plus one private leaf kernel per worker, and is meant to be created
 once and reused for any number of transforms.
+
+run_transform is the one place that composes the three stages; the stage
+modules never import one another.  Scatter (stage I) fills the bins of the
+scratch buffer, one parallel_for runs the leaf transforms (stage II) over
+contiguous runs of bins with the current worker's kernel, and then each
+merge level (stage III), deepest first, is one parallel_for over pieces of
+the level.  A piece is a group of segments (rows of the level's
+(segments, 2m) view) times a range of coefficients, merged in one call,
+and no merged value depends on which piece computed it.
 
 Packed spectrum layout (length-M real buffer for a length-M real input):
 
@@ -22,6 +31,8 @@ import numpy as np
 
 from .errors import (
     BinsizeNotPowerOfTwo,
+    HandleBusy,
+    HandleClosed,
     IndexOutOfRange,
     InvalidPlan,
     SizeConstraintViolation,
@@ -30,7 +41,8 @@ from .errors import (
 from .leaf_dft import LeafKernel, _is_pow2
 from .memory import aligned_empty
 from .parallel import WorkerPool, chunk_ranges
-from .scatter import build_scatter_index
+from .recombine import merge_block, pieces
+from .scatter import build_scatter_index, scatter
 
 DEFAULT_K_TILE = 64
 
@@ -107,9 +119,10 @@ class TransformHandle:
 
     Creation allocates the input and scratch buffers as one aligned block
     (one allocation, so creating and closing handles keeps reusing the same
-    pages), first-touches each region from the worker that will
-    predominantly process it, then instantiates one leaf kernel per worker.
-    All of that is reused across transforms; running one never reallocates.
+    pages), makes one leaf kernel per worker, and writes zeros over both
+    buffers through the pool, so that their pages exist before the first
+    transform.  All of that is reused across transforms; running one never
+    reallocates.
 
     A handle belongs to one logical owner at a time: it may move between
     threads, but a transform started while another runs raises HandleBusy.
@@ -130,16 +143,8 @@ class TransformHandle:
         self._result = self._scratch.view()
         self._result.setflags(write=False)
         self._finalizer = weakref.finalize(self, WorkerPool.shutdown, self._pool)
-        self._first_touch()
-
-    def _first_touch(self):
-        regions = chunk_ranges(0, self.plan.n, 1, self.plan.workers)
-
-        def touch(lo, hi):
-            self._input[lo:hi] = 0.0
-            self._scratch[lo:hi] = 0.0
-
-        self._pool.parallel_for(regions, touch)
+        self._pool.parallel_for(chunk_ranges(0, self._block.size, 1, plan.workers),
+                                lambda lo, hi: self._block[lo:hi].fill(0.0))
 
     @property
     def data(self) -> np.ndarray:
@@ -154,18 +159,8 @@ class TransformHandle:
         """
         return self._result
 
-    @property
-    def pool(self) -> WorkerPool:
-        return self._pool
-
     def kernel_for_current_worker(self) -> LeafKernel:
         return self._kernels[self._pool.current_slot()]
-
-    def run(self) -> np.ndarray:
-        """Transform the input buffer; returns the result view."""
-        from .recombine import run_transform
-
-        return run_transform(self)
 
     def close(self) -> None:
         """Stop the worker pool; the handle is unusable afterwards."""
@@ -182,6 +177,38 @@ class TransformHandle:
 def handle_create(plan: TransformPlan) -> TransformHandle:
     """Allocate buffers and kernels for a plan; reuse the handle for all runs."""
     return TransformHandle(plan)
+
+
+def run_transform(handle: TransformHandle) -> np.ndarray:
+    """Run the three stages on the handle's scratch buffer; the input is preserved.
+
+    Returns the handle's read-only result view over the packed spectrum.
+    Raises HandleClosed on a closed handle, and HandleBusy, leaving the
+    running transform alone, if the handle is already running one.
+    """
+    if not handle._finalizer.alive:
+        raise HandleClosed("the handle is closed")
+    plan, pool, buf = handle.plan, handle._pool, handle._scratch
+    binsize = plan.binsize
+
+    def leaves(lo, hi):
+        kernel = handle.kernel_for_current_worker()
+        for b in range(lo, hi, binsize):
+            kernel.transform(buf[b:b + binsize])
+
+    if not handle._lock.acquire(blocking=False):
+        raise HandleBusy("the handle is already running a transform")
+    try:
+        scatter(handle.data, buf, plan, pool=pool)
+        pool.parallel_for(chunk_ranges(0, plan.n, binsize, plan.workers), leaves)
+        m = binsize
+        while 2 * m <= plan.n:
+            rows = buf.reshape(-1, 2 * m)
+            pool.parallel_for(pieces(rows, m, plan.k_tile, plan.workers), merge_block)
+            m *= 2
+    finally:
+        handle._lock.release()
+    return handle.result
 
 
 class PermSpectrum:

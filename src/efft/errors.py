@@ -26,7 +26,7 @@ class AllocationFailure(EfftError, MemoryError):
 
 
 class SizeMismatch(EfftError, ValueError):
-    """A buffer passed to a kernel has the wrong length."""
+    """A buffer passed to a kernel has the wrong length, dtype or layout."""
 
 
 class IndexOutOfRange(EfftError, IndexError):

@@ -11,8 +11,7 @@ Each worker gets its own kernel, so no two threads ever share a lane.
 
 import numpy as np
 
-from .errors import SizeMismatch
-from .memory import aligned_empty
+from .memory import aligned_empty, check_lane
 
 
 def _is_pow2(v: int) -> bool:
@@ -31,8 +30,7 @@ class LeafKernel:
     def transform(self, buf: np.ndarray) -> None:
         """Rewrite a length-m float32 segment with its packed spectrum."""
         m = self.m
-        if buf.shape != (m,) or buf.dtype != np.float32:
-            raise SizeMismatch(f"leaf kernel of size {m} got buffer shape {buf.shape}")
+        check_lane(buf, m, "leaf kernel input")
         lane = self._lane
         np.fft.rfft(buf, out=lane)
         buf.view(np.complex64)[1:] = lane[1:m // 2]

@@ -1,9 +1,11 @@
-"""Aligned buffer allocation and a live-bytes high-water mark.
+"""Aligned buffer allocation, a live-bytes high-water mark, and lane checks.
 
 Signal buffers are allocated on a 64-byte boundary so that tile-local
 lanes and leaf segments start on cache-line boundaries.  The module also
 keeps a process-local high-water mark of bytes handed out here, used as
-the fallback when the platform exposes no peak-memory counter.
+the fallback when the platform exposes no peak-memory counter.  The
+kernels' public entry points check the buffers they are given with
+check_lane before they reinterpret them as complex64.
 """
 
 import threading
@@ -11,7 +13,7 @@ import weakref
 
 import numpy as np
 
-from .errors import AllocationFailure
+from .errors import AllocationFailure, SizeMismatch
 
 ALIGNMENT = 64
 
@@ -57,3 +59,12 @@ def aligned_empty(n: int, dtype=np.float32) -> np.ndarray:
     _track(nbytes)
     weakref.finalize(buf, _untrack, nbytes)
     return buf
+
+
+def check_lane(buf: np.ndarray, n: int, what: str) -> None:
+    """Raise SizeMismatch unless buf is a contiguous float32 lane of n elements."""
+    if buf.shape != (n,) or buf.dtype != np.float32 or not buf.flags.c_contiguous:
+        raise SizeMismatch(
+            f"{what} must be a contiguous float32 buffer of length {n}, "
+            f"got shape {buf.shape}, dtype {buf.dtype}, strides {buf.strides}"
+        )

@@ -1,12 +1,4 @@
-"""Stages II-III: leaf transforms of the bins, then in-place pairwise merges.
-
-run_transform schedules the stages level by level.  One parallel_for runs
-the leaf transforms over contiguous runs of bins, each run by the current
-worker's kernel.  Then each merge level, deepest first, is one parallel_for
-over pieces of the level: a piece is a group of segments (rows of the
-level's (segments, 2m) view) times a range of coefficients, and one call
-merges that range in every row of the group.  The values of a merged
-coefficient do not depend on which piece computed it.
+"""Stage III: in-place pairwise merges of packed half-spectra.
 
 The merge of two half-spectra E and O (each the packed spectrum of m reals)
 into the packed spectrum of the 2m-sample segment applies, with
@@ -41,17 +33,18 @@ write the strided views directly.
 
 The in-place hot path runs out of per-thread workspace lanes (twiddles
 and products) and never allocates: concurrent merges would otherwise
-serialize on the allocator.
+serialize on the allocator.  pieces cuts a merge level into pieces and
+merge_block merges one; core.run_transform runs each level as those two,
+and reassemble_pair_inplace runs them on one segment.
 """
 
 import threading
 
 import numpy as np
 
-from .errors import HandleBusy, HandleClosed, SizeMismatch
-from .memory import aligned_empty
-from .parallel import BLOCK, chunk_ranges
-from .scatter import scatter
+from .errors import SizeMismatch
+from .memory import aligned_empty, check_lane
+from .parallel import BLOCK
 
 
 def _twiddle_lanes(m: int, k: np.ndarray, out=None):
@@ -77,14 +70,14 @@ def _twiddle_lanes(m: int, k: np.ndarray, out=None):
 
 def reassemble_pair_basic(evens: np.ndarray, odds: np.ndarray, target: np.ndarray) -> None:
     """Merge two packed half-spectra of length m into a fresh length-2m target."""
-    m = evens.shape[0]
-    if odds.shape != (m,) or target.shape != (2 * m,) or m < 2 or m % 2 != 0:
-        raise SizeMismatch(
-            f"need half-spectra of equal even length and a target twice as long, "
-            f"got {evens.shape}, {odds.shape}, {target.shape}"
-        )
+    m = evens.size
+    if m < 2 or m % 2 != 0:
+        raise SizeMismatch(f"need half-spectra of even length >= 2, got {evens.shape}")
+    check_lane(evens, m, "evens")
+    check_lane(odds, m, "odds")
+    check_lane(target, 2 * m, "target")
     if np.shares_memory(target, evens) or np.shares_memory(target, odds):
-        raise ValueError("target must not overlap the input spectra")
+        raise SizeMismatch("target must not overlap the input spectra")
 
     target[0] = evens[0] + odds[0]
     target[1] = evens[0] - odds[0]
@@ -107,8 +100,11 @@ class _MergeWorkspace:
     """Reusable per-thread lanes for one merge piece of at most cap pairs."""
 
     def __init__(self, cap: int):
-        self.base = np.arange(cap, dtype=np.float64)
-        self.k = np.empty(cap, dtype=np.float64)
+        # base holds 0..cap-1, summed in place so that no second lane is made.
+        self.base, self.k = (aligned_empty(cap, np.float64) for _ in range(2))
+        self.base.fill(1.0)
+        self.base[0] = 0.0
+        np.cumsum(self.base, out=self.base)
         # the twiddles W_k and W_mu, and the products t and tm
         self.w, self.wm, self.t, self.tm = (aligned_empty(cap, np.complex64)
                                             for _ in range(4))
@@ -124,7 +120,7 @@ def _workspace() -> _MergeWorkspace:
     return ws
 
 
-def _merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
+def merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
     """In-place merge of coefficients [ka, kb) and their mirrors in every row.
 
     rows is an (R, 2m) view whose rows each hold two adjacent packed
@@ -153,10 +149,8 @@ def _merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
         np.negative(rows[..., m + 1], out=rows[..., m + 1])
         np.add(e0, o0, out=rows[..., 0])
         np.subtract(e0, o0, out=rows[..., 1])
-    if L == 0:
-        return
 
-    h, Lm = m // 2, min(kb, (m + 3) // 4) - ka  # the mirror pairs: 4k < m
+    h, Lm = m // 2, min(kb, m // 4) - ka        # the mirror pairs: 4k < m
     k, w, wm = ws.k[:L], ws.w[:L], ws.wm[:Lm]
     c, s = ws.t[:L].view(np.float32).reshape(2, L)   # until the product t needs the lane
     _twiddle_lanes(m, np.add(ws.base[:L], ka, out=k), (c, s))
@@ -183,11 +177,12 @@ def _merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
     np.add(e_mu, tm, out=e_mu)                  # F_mu
 
 
-def _pieces(rows: np.ndarray, m: int, k_tile: int, workers: int):
+def pieces(rows: np.ndarray, m: int, k_tile: int, workers: int):
     """(rows[r0:r1], m, ka, kb) pieces that cover one merge level.
 
+    m is a power of two >= 4, so coefficients 1..m/4 are never empty.
     A piece holds at most cap = BLOCK // 8 coefficient pairs, because each
-    pair reads and writes 8 floats.  Coefficients 1..m/4 are cut on k_tile
+    pair reads and writes 8 floats.  The coefficients are cut on k_tile
     boundaries (k_tile capped at cap) into runs of at most cap, and rows are
     grouped so that no piece holds more than cap pairs.  A level with fewer
     rows than workers gets shorter runs, and one with more gets smaller
@@ -197,10 +192,10 @@ def _pieces(rows: np.ndarray, m: int, k_tile: int, workers: int):
     tile = min(k_tile, cap)
     tiles = -(-(kend - 1) // tile)
     # The longest run that fits a piece, shortened while rows are fewer than workers.
-    run = tile * max(1, min(cap // tile, -(-tiles // -(-workers // segments))))
+    run = tile * min(cap // tile, -(-tiles // -(-workers // segments)))
     # As many rows as fit beside the run, but no more than a worker's share.
-    group = max(1, min(cap // max(1, min(run, kend - 1)), -(-segments // workers)))
-    ks = [(ka, min(ka + run, kend)) for ka in range(1, kend, run)] or [(1, 1)]
+    group = min(cap // min(run, kend - 1), -(-segments // workers))
+    ks = [(ka, min(ka + run, kend)) for ka in range(1, kend, run)]
     return [(rows[r0:r0 + group], m, ka, kb)
             for r0 in range(0, segments, group) for ka, kb in ks]
 
@@ -208,47 +203,13 @@ def _pieces(rows: np.ndarray, m: int, k_tile: int, workers: int):
 def reassemble_pair_inplace(seg: np.ndarray, m: int, k_tile: int = 64) -> None:
     """Merge the two adjacent packed half-spectra held in seg, in place.
 
-    m must be even and >= 2, and seg 2m long.  The merge runs the pieces of
-    a one-segment level in order, with the same arithmetic as run_transform.
+    m must be a power of two >= 4, the half sizes a transform merges, and
+    seg a contiguous float32 buffer of length 2m.  The merge runs the
+    pieces of a one-segment level in order, with the same arithmetic as
+    run_transform.
     """
-    if seg.shape != (2 * m,) or m < 2 or m % 2 != 0:
-        raise SizeMismatch(
-            f"need an even half length m >= 2 and a buffer of length 2m, "
-            f"got m={m} and {seg.shape}"
-        )
-    for piece in _pieces(seg.reshape(1, 2 * m), m, k_tile, 1):
-        _merge_block(*piece)
-
-
-def run_transform(handle) -> np.ndarray:
-    """Run the full three-stage transform; the input buffer is preserved.
-
-    Stage I scatters the input into bins of the scratch buffer, stages
-    II-III transform and merge the bins in place there, one parallel_for
-    for the leaves and one per merge level.  Returns the handle's read-only
-    result view over the packed spectrum.  Raises HandleBusy, and leaves the
-    running transform alone, if the handle is already running one.
-    """
-    if not handle._finalizer.alive:
-        raise HandleClosed("the handle is closed")
-    plan, pool, buf = handle.plan, handle.pool, handle._scratch
-    binsize = plan.binsize
-
-    def leaves(lo, hi):
-        kernel = handle.kernel_for_current_worker()
-        for b in range(lo, hi, binsize):
-            kernel.transform(buf[b:b + binsize])
-
-    if not handle._lock.acquire(blocking=False):
-        raise HandleBusy("the handle is already running a transform")
-    try:
-        scatter(handle.data, buf, plan, pool=pool)
-        pool.parallel_for(chunk_ranges(0, plan.n, binsize, plan.workers), leaves)
-        m = binsize
-        while 2 * m <= plan.n:
-            rows = buf.reshape(-1, 2 * m)
-            pool.parallel_for(_pieces(rows, m, plan.k_tile, plan.workers), _merge_block)
-            m *= 2
-    finally:
-        handle._lock.release()
-    return handle.result
+    if m < 4 or m & (m - 1):
+        raise SizeMismatch(f"need a power-of-two half length m >= 4, got m={m}")
+    check_lane(seg, 2 * m, "seg")
+    for piece in pieces(seg.reshape(1, 2 * m), m, k_tile, 1):
+        merge_block(*piece)

@@ -15,7 +15,7 @@ import pytest
 import efft
 from efft.bench import random_signal
 from efft.cli import main as cli_main
-from efft.core import PermSpectrum, handle_create, plan_create
+from efft.core import PermSpectrum, handle_create, plan_create, run_transform
 from efft.oracle import l2_norm, naive_dft, naive_dft_at, pack_perm
 from efft.recombine import reassemble_pair_basic, reassemble_pair_inplace
 from efft.scatter import build_scatter_index, scatter
@@ -43,7 +43,7 @@ def test_oracle_equivalence_suite():
             with handle_create(plan_create(n, s, workers=2, test_mode=True)) as h:
                 for x, ref in zip(signals, references):
                     h.data[:] = x
-                    out = np.asarray(h.run(), dtype=np.float64)
+                    out = np.asarray(run_transform(h), dtype=np.float64)
                     err = l2_norm(out, ref)
                     worst = max(worst, err)
                     assert err <= 1e-6, (n, s, err)
@@ -64,7 +64,7 @@ def test_large_size_spot_checks():
     for s in (2, 4):
         with handle_create(plan_create(n, s, workers=2)) as h:
             h.data[:] = x
-            spectrum = PermSpectrum(np.array(h.run(), dtype=np.float64))
+            spectrum = PermSpectrum(np.array(run_transform(h), dtype=np.float64))
         computed = np.array([spectrum.coefficient(int(k)) for k in indices])
         err = float(np.max(np.abs(computed - exact) / scale))
         worst = max(worst, err)
@@ -106,8 +106,8 @@ def test_determinism_across_workers_and_runs():
     for workers in (1, 2, 4, 8):
         with handle_create(plan_create(n, s, workers=workers)) as h:
             h.data[:] = x
-            first = np.array(h.run())
-            h.run()
+            first = np.array(run_transform(h))
+            run_transform(h)
             again = np.array(h.result)
         assert np.array_equal(first, again), f"rerun differs at T={workers}"
         if reference is None:
@@ -197,11 +197,11 @@ def test_parallel_scaling_smoke():
     def best_time(workers, splits, repeats=3):
         with handle_create(plan_create(n, splits, workers=workers)) as h:
             h.data[:] = x
-            h.run()
+            run_transform(h)
             best = math.inf
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                h.run()
+                run_transform(h)
                 best = min(best, time.perf_counter() - t0)
         return best
 

@@ -234,14 +234,15 @@ class TestCheck:
         rows = parse_csv(stdout)
         assert float(rows[0][5]) <= 1e-5
 
-    def test_corrupted_output_fails(self, capsys):
+    def test_corrupted_output_fails(self, capsys, monkeypatch):
+        # No float32 transform meets a zero tolerance.
+        monkeypatch.setattr(cli, "L2_TOLERANCE", 0.0)
         code, stdout, stderr = run_cli(
-            ["check", "--size", "2^12", "--splits", "2", "--test-mode",
-             "--corrupt"], capsys)
+            ["check", "--size", "2^12", "--splits", "2", "--test-mode"], capsys)
         assert code == 1
         rows = parse_csv(stdout)
         assert rows[0][7] == "failed"
-        assert "accuracy check failed" in stderr
+        assert "error: accuracy check failed" in stderr
 
 
 class TestBench:

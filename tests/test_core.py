@@ -1,14 +1,16 @@
 """Tests for plan validation, buffer management, and the packed layout view."""
 
+import ast
 import importlib
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import efft
 from efft import errors
-from efft.core import PermSpectrum, handle_create, plan_create
+from efft.core import PermSpectrum, handle_create, plan_create, run_transform
 from efft.oracle import naive_dft
 
 from conftest import random_f32
@@ -96,7 +98,7 @@ class TestHandle:
         x = random_f32(n, seed=42)
         with handle_create(plan_create(n, 2, workers=2)) as h:
             h.data[:] = x
-            out = h.run()
+            out = run_transform(h)
             assert np.array_equal(h.data, x)
             reference = efft.pack_perm(naive_dft(x))
             assert efft.l2_norm(np.asarray(out, dtype=np.float64), reference) < 1e-6
@@ -110,7 +112,7 @@ class TestHandle:
             first = None
             for _ in range(25):
                 h.data[:] = random_f32(n, seed=1)
-                h.run()
+                run_transform(h)
                 if first is None:
                     first = np.array(h.result)
                 assert np.array_equal(np.array(h.result), first)
@@ -123,7 +125,7 @@ class TestHandle:
             h1.data[:] = 1.0
             h2.data[:] = 2.0
             assert not np.shares_memory(h1.data, h2.data)
-            h1.run()
+            run_transform(h1)
             assert np.all(h2.data == 2.0)
 
     def test_close_is_idempotent(self):
@@ -135,28 +137,25 @@ class TestHandle:
     def test_run_after_close_raises(self, workers):
         h = handle_create(plan_create(2 ** 10, 1, workers=workers, test_mode=True))
         h.data[:] = 1.0
-        h.run()
+        run_transform(h)
         h.close()
         with pytest.raises(errors.HandleClosed):
-            h.run()
-        with pytest.raises(errors.HandleClosed):
-            efft.run_transform(h)
-
+            run_transform(h)
 
     def test_non_finite_input_in_the_last_chunk_leaves_the_handle_usable(self):
         plan = plan_create(2 ** 12, 2, workers=2, test_mode=True)
         x = random_f32(plan.n, seed=21)
         with handle_create(plan) as fresh:
             fresh.data[:] = x
-            expected = np.array(fresh.run())
+            expected = np.array(run_transform(fresh))
         with handle_create(plan) as h:
             # Input element i*bins + j is scatter row i; the last rows form the last chunk.
             h.data[:] = x
             h.data[-1] = np.nan
             with pytest.raises(errors.NonFiniteInput):
-                h.run()
+                run_transform(h)
             h.data[:] = x
-            assert np.array_equal(h.run(), expected)
+            assert np.array_equal(run_transform(h), expected)
 
     @pytest.mark.parametrize("block", [64, 96])
     def test_non_finite_input_in_the_last_of_many_blocks(self, block, monkeypatch):
@@ -168,21 +167,21 @@ class TestHandle:
         n = 2 ** 10
         with handle_create(plan_create(n, 1, workers=2, test_mode=True)) as h:
             h.data[:] = random_f32(n, seed=4)
-            before = np.array(h.run())
+            before = np.array(run_transform(h))
             h.data[:] = 1.0
             with h._lock:
                 with pytest.raises(errors.HandleBusy):
-                    h.run()
+                    run_transform(h)
                 assert np.array_equal(np.array(h.result), before)
             h.data[:] = random_f32(n, seed=4)
-            assert np.array_equal(np.array(h.run()), before)
+            assert np.array_equal(np.array(run_transform(h)), before)
 
     def test_racing_threads_never_corrupt_the_spectrum(self):
         n = 2 ** 14
         x = random_f32(n, seed=8)
         with handle_create(plan_create(n, 4, workers=1, test_mode=True)) as ref:
             ref.data[:] = x
-            expected = np.array(ref.run())
+            expected = np.array(run_transform(ref))
         with handle_create(plan_create(n, 4, workers=2, test_mode=True)) as h:
             h.data[:] = x
             barrier = threading.Barrier(2, timeout=30)
@@ -192,7 +191,7 @@ class TestHandle:
                 for _ in range(25):
                     barrier.wait()
                     try:
-                        h.run()
+                        run_transform(h)
                         outcomes.append("ok")
                     except Exception as exc:
                         outcomes.append(type(exc).__name__)
@@ -248,3 +247,14 @@ def test_public_names():
         "reassemble_pair_inplace", "run_transform", "scatter",
     ])
     assert all(hasattr(efft, name) for name in efft.__all__)
+
+
+def test_core_alone_composes_the_stages():
+    # The stage modules share only the helpers below; core.py runs them.
+    for name in ("leaf_dft", "recombine", "scatter"):
+        tree = ast.parse(Path(importlib.import_module(f"efft.{name}").__file__).read_text())
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        assert imported <= {"errors", "memory", "parallel"}, name
+    assert not hasattr(efft.TransformHandle, "run")
+    assert not hasattr(efft.TransformHandle, "pool")

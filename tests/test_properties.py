@@ -5,10 +5,10 @@ import functools
 import numpy as np
 import pytest
 
-from efft.core import handle_create, plan_create
+from efft.core import handle_create, plan_create, run_transform
 from efft.leaf_dft import LeafKernel
 from efft.oracle import l2_norm, naive_dft, pack_perm
-from efft.recombine import reassemble_pair_inplace, run_transform
+from efft.recombine import reassemble_pair_inplace
 from efft.scatter import scatter
 
 from conftest import random_f32
@@ -47,7 +47,7 @@ def transform(cfg, x, workers):
                        k_tile=cfg["k_tile"])
     with handle_create(plan) as h:
         h.data[:] = x
-        return np.array(h.run())
+        return np.array(run_transform(h))
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

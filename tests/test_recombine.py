@@ -1,13 +1,14 @@
 """Tests for twiddle lanes, both reassembly kernels, and the full pipeline."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
 import efft
-from efft import errors
-from efft.core import PermSpectrum, handle_create, plan_create
+from efft import errors, memory
+from efft.core import PermSpectrum, handle_create, plan_create, run_transform
 from efft.oracle import l2_norm, naive_dft, naive_dft_at, pack_perm
 from efft.parallel import BLOCK
 from efft.recombine import (
@@ -80,7 +81,7 @@ class TestBasicKernel:
         with pytest.raises(errors.SizeMismatch):
             reassemble_pair_basic(e, e.copy(), np.zeros(12, np.float32))
         buf = np.zeros(24, dtype=np.float32)
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.SizeMismatch):
             reassemble_pair_basic(buf[:8], buf[8:16], buf[8:])
 
 
@@ -115,10 +116,11 @@ class TestInplaceKernel:
         reassemble_pair_inplace(seg, m, k_tile)
         assert np.array_equal(seg, target)
 
-    @pytest.mark.parametrize("m, k_tile", [(2, 64), (6, 64), (258, 1), (1 << 17, 64),
+    @pytest.mark.parametrize("m, k_tile", [(4, 64), (16, 64), (256, 1), (1 << 17, 64),
                                           (1 << 17, 600)])
     def test_any_even_m_matches_basic(self, m, k_tile):
-        # 2^17 spans more coefficients than one piece holds, cut on k_tile boundaries.
+        # m = 4 has only the centre pair.  2^17 spans more coefficients than
+        # one piece holds, cut on k_tile boundaries.
         evens, odds = random_f32(m, seed=8), random_f32(m, seed=9)
         target = np.empty(2 * m, dtype=np.float32)
         reassemble_pair_basic(evens, odds, target)
@@ -127,16 +129,55 @@ class TestInplaceKernel:
         assert np.array_equal(seg, target)
 
     def test_workspace_bytes(self):
-        # 1,245,184 B held the 15 float32 and 2 float64 real lanes of the
-        # real-lane kernel; the complex kernel needs no more.
-        ws = _MergeWorkspace(BLOCK // 8)
-        assert sum(lane.nbytes for lane in vars(ws).values()) <= 1_245_184
+        gc.collect()
+        gc.disable()  # so no unrelated buffer is freed while the lanes are counted
+        try:
+            before = memory._live_bytes
+            ws = _MergeWorkspace(BLOCK // 8)
+            tracked = memory._live_bytes - before
+        finally:
+            gc.enable()
+        held = sum(lane.nbytes for lane in vars(ws).values())
+        # Every lane counts towards allocation_high_water.  1,245,184 B held
+        # the 15 float32 and 2 float64 lanes of the real-lane kernel; the
+        # complex kernel needs no more.
+        assert tracked == held <= 1_245_184
+        assert np.array_equal(ws.base, np.arange(BLOCK // 8))
 
     def test_size_mismatch(self):
         with pytest.raises(errors.SizeMismatch):
             reassemble_pair_inplace(np.zeros(24, np.float32), 16, 4)
-        with pytest.raises(errors.SizeMismatch):
-            reassemble_pair_inplace(np.ones(514, np.float32), 257, 64)
+        # Only the power-of-two half lengths >= 4 that a transform merges.
+        for m in (2, 6, 12, 257):
+            with pytest.raises(errors.SizeMismatch):
+                reassemble_pair_inplace(np.ones(2 * m, np.float32), m, 64)
+
+
+def _strided(n):
+    return np.zeros(2 * n, np.float32)[::2]
+
+
+UNREADABLE = {
+    "leaf-strided": lambda: efft.LeafKernel(8).transform(_strided(8)),
+    "basic-float64-halves": lambda: reassemble_pair_basic(
+        np.zeros(8), np.zeros(8), np.zeros(16, np.float32)),
+    "basic-float64-target": lambda: reassemble_pair_basic(
+        np.zeros(8, np.float32), np.zeros(8, np.float32), np.zeros(16)),
+    "basic-strided-odds": lambda: reassemble_pair_basic(
+        np.zeros(8, np.float32), _strided(8), np.zeros(16, np.float32)),
+    "basic-strided-target": lambda: reassemble_pair_basic(
+        np.zeros(8, np.float32), np.zeros(8, np.float32), _strided(16)),
+    "inplace-float64": lambda: reassemble_pair_inplace(np.zeros(16), 8),
+    "inplace-strided": lambda: reassemble_pair_inplace(_strided(16), 8),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_kernels_reject_unreadable_buffers(case):
+    # Each of these used to reinterpret the bytes as complex64 and return
+    # garbage, or fail inside numpy with a bare ValueError.
+    with pytest.raises(errors.SizeMismatch):
+        UNREADABLE[case]()
 
 
 class TestFullPipeline:
@@ -145,7 +186,7 @@ class TestFullPipeline:
         x = random_f32(n, seed=10)
         with handle_create(plan_create(n, 0, workers=1, test_mode=True)) as h:
             h.data[:] = x
-            out = np.array(h.run())
+            out = np.array(run_transform(h))
         buf = x.copy()
         efft.LeafKernel(n).transform(buf)
         assert np.array_equal(out, buf)
@@ -156,7 +197,7 @@ class TestFullPipeline:
         with handle_create(plan_create(n, s, workers=1, test_mode=True)) as h:
             h.data[:] = 0.0
             h.data[0] = 1.0
-            out = np.array(h.run())
+            out = np.array(run_transform(h))
         expected = np.zeros(n, dtype=np.float32)
         expected[0] = expected[1] = 1.0
         expected[2::2] = 1.0
@@ -165,7 +206,7 @@ class TestFullPipeline:
     def test_ramp_n8_s1(self):
         with handle_create(plan_create(8, 1, workers=1, test_mode=True)) as h:
             h.data[:] = np.arange(1, 9, dtype=np.float32)
-            out = np.array(h.run())
+            out = np.array(run_transform(h))
         assert np.allclose(out, [36, -4, -4, 9.6569, -4, 4, -4, 1.6569], atol=1e-3)
 
     def test_split_invariance(self):
@@ -175,7 +216,7 @@ class TestFullPipeline:
         for s in range(int(math.log2(n)) - 1):
             with handle_create(plan_create(n, s, workers=2, test_mode=True)) as h:
                 h.data[:] = x
-                outputs.append(np.array(h.run(), dtype=np.float64))
+                outputs.append(np.array(run_transform(h), dtype=np.float64))
         for out in outputs[1:]:
             assert l2_norm(out, outputs[0]) <= 1e-6
 
@@ -185,17 +226,18 @@ class TestFullPipeline:
         x = random_f32(n, seed=12)
         with handle_create(plan_create(n, s, workers=1)) as h:
             h.data[:] = x
-            reference = np.array(h.run())
+            reference = np.array(run_transform(h))
         with handle_create(plan_create(n, s, workers=workers)) as h:
             h.data[:] = x
-            assert np.array_equal(np.array(h.run()), reference)
+            assert np.array_equal(np.array(run_transform(h)), reference)
 
     def test_hermitian_consistency(self):
         n = 1 << 12
         x = random_f32(n, seed=13)
         with handle_create(plan_create(n, 3, workers=2)) as h:
             h.data[:] = x
-            full = PermSpectrum(np.array(h.run(), dtype=np.float64)).to_full_complex()
+            out = np.array(run_transform(h), dtype=np.float64)
+        full = PermSpectrum(out).to_full_complex()
         rng = np.random.default_rng(99)
         ks = rng.integers(0, n, size=64)
         exact = np.array([
