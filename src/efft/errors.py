@@ -26,7 +26,7 @@ class AllocationFailure(EfftError, MemoryError):
 
 
 class SizeMismatch(EfftError, ValueError):
-    """A buffer passed to a kernel has the wrong length, dtype or layout."""
+    """A kernel buffer has the wrong length, dtype or layout, or is read-only."""
 
 
 class IndexOutOfRange(EfftError, IndexError):

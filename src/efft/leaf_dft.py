@@ -30,7 +30,7 @@ class LeafKernel:
     def transform(self, buf: np.ndarray) -> None:
         """Rewrite a length-m float32 segment with its packed spectrum."""
         m = self.m
-        check_lane(buf, m, "leaf kernel input")
+        check_lane(buf, m, "leaf kernel input", writable=True)
         lane = self._lane
         np.fft.rfft(buf, out=lane)
         buf.view(np.complex64)[1:] = lane[1:m // 2]

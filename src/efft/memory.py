@@ -61,10 +61,15 @@ def aligned_empty(n: int, dtype=np.float32) -> np.ndarray:
     return buf
 
 
-def check_lane(buf: np.ndarray, n: int, what: str) -> None:
-    """Raise SizeMismatch unless buf is a contiguous float32 lane of n elements."""
+def check_lane(buf: np.ndarray, n: int, what: str, writable: bool = False) -> None:
+    """Raise SizeMismatch unless buf is a contiguous float32 lane of n elements.
+
+    A lane the kernel writes into (writable=True) must also be writable.
+    """
     if buf.shape != (n,) or buf.dtype != np.float32 or not buf.flags.c_contiguous:
         raise SizeMismatch(
             f"{what} must be a contiguous float32 buffer of length {n}, "
             f"got shape {buf.shape}, dtype {buf.dtype}, strides {buf.strides}"
         )
+    if writable and not buf.flags.writeable:
+        raise SizeMismatch(f"{what} must be writable, got a read-only buffer")

@@ -42,7 +42,7 @@ import threading
 
 import numpy as np
 
-from .errors import SizeMismatch
+from .errors import InvalidPlan, SizeMismatch
 from .memory import aligned_empty, check_lane
 from .parallel import BLOCK
 
@@ -75,7 +75,7 @@ def reassemble_pair_basic(evens: np.ndarray, odds: np.ndarray, target: np.ndarra
         raise SizeMismatch(f"need half-spectra of even length >= 2, got {evens.shape}")
     check_lane(evens, m, "evens")
     check_lane(odds, m, "odds")
-    check_lane(target, 2 * m, "target")
+    check_lane(target, 2 * m, "target", writable=True)
     if np.shares_memory(target, evens) or np.shares_memory(target, odds):
         raise SizeMismatch("target must not overlap the input spectra")
 
@@ -203,13 +203,15 @@ def pieces(rows: np.ndarray, m: int, k_tile: int, workers: int):
 def reassemble_pair_inplace(seg: np.ndarray, m: int, k_tile: int = 64) -> None:
     """Merge the two adjacent packed half-spectra held in seg, in place.
 
-    m must be a power of two >= 4, the half sizes a transform merges, and
-    seg a contiguous float32 buffer of length 2m.  The merge runs the
-    pieces of a one-segment level in order, with the same arithmetic as
-    run_transform.
+    m must be a power of two >= 4, the half sizes a transform merges, seg
+    a writable contiguous float32 buffer of length 2m, and k_tile >= 1, as
+    plan_create requires.  The merge runs the pieces of a one-segment level
+    in order, with the same arithmetic as run_transform.
     """
     if m < 4 or m & (m - 1):
         raise SizeMismatch(f"need a power-of-two half length m >= 4, got m={m}")
-    check_lane(seg, 2 * m, "seg")
+    if k_tile < 1:
+        raise InvalidPlan(f"k_tile must be >= 1, got {k_tile}")
+    check_lane(seg, 2 * m, "seg", writable=True)
     for piece in pieces(seg.reshape(1, 2 * m), m, k_tile, 1):
         merge_block(*piece)

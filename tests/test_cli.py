@@ -265,6 +265,20 @@ class TestBench:
         assert "peak memory source" in stderr
 
 
+@pytest.mark.parametrize("command", ["transform", "bench", "check", "scan"])
+def test_rows_report_the_splits_that_ran(command, tmp_path, capsys):
+    # 2^18 / 2**0 exceeds one block, so the plan runs one split more.
+    n = 2 ** 18
+    argv = [command, "--size", "2^18", "--splits", "0", "--workers", "1"]
+    if command == "transform":
+        argv += ["--input", make_input(tmp_path, n), "--output", str(tmp_path / "o.f32")]
+    if command == "scan":
+        argv += ["--repeats", "1"]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [row[1] for row in parse_csv(stdout)] == ["1"] * (2 if command == "scan" else 1)
+
+
 class TestWorkerPrecedence:
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFT_WORKERS", "1")

@@ -1,6 +1,7 @@
 """Property tests over the plan configuration space, judged by the oracle."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,15 +63,13 @@ def test_any_configuration_matches_oracle_and_one_worker(cfg, seed):
     assert np.array_equal(out, transform(cfg, x, 1))
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(cfg=configs(), seed=st.integers(0, 2))
-def test_public_stages_replay_run_transform(cfg, seed):
+def replay_equals_run_transform(cfg, x):
     # The serial stage-by-stage replay the benchmark's traced run performs:
-    # scatter, each bin's leaf, then every segment's merge, deepest first.
-    n, binsize = cfg["n"], cfg["n"] >> cfg["splits"]
-    plan = plan_create(n, cfg["splits"], cfg["workers"], test_mode=cfg["test_mode"],
+    # scatter, each bin's leaf, then every segment's merge, deepest first,
+    # all sized from the plan, whose splits may exceed the requested ones.
+    plan = plan_create(cfg["n"], cfg["splits"], cfg["workers"], test_mode=cfg["test_mode"],
                        k_tile=cfg["k_tile"])
-    x = random_f32(n, seed)
+    n, binsize = plan.n, plan.binsize
     buf = np.empty(n, dtype=np.float32)
     scatter(x, buf, plan, pool=None)
     kernel = LeafKernel(binsize)
@@ -79,8 +78,35 @@ def test_public_stages_replay_run_transform(cfg, seed):
     length = 2 * binsize
     while length <= n:
         for lo in range(0, n, length):
-            reassemble_pair_inplace(buf[lo:lo + length], length // 2, cfg["k_tile"])
+            reassemble_pair_inplace(buf[lo:lo + length], length // 2, plan.k_tile)
         length *= 2
     with handle_create(plan) as h:
         h.data[:] = x
-        assert np.array_equal(buf, run_transform(h))
+        return np.array_equal(buf, run_transform(h))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(cfg=configs(), seed=st.integers(0, 2))
+def test_public_stages_replay_run_transform(cfg, seed):
+    assert replay_equals_run_transform(cfg, random_f32(cfg["n"], seed))
+
+
+SMALL_BLOCK = 64
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(cfg=configs(), seed=st.integers(0, 2))
+def test_raised_plans_match_oracle_workers_and_replay(cfg, seed):
+    # With a small cap most drawn plans run more splits than requested.
+    with mock.patch("efft.core.BLOCK", SMALL_BLOCK):
+        plan = plan_create(cfg["n"], cfg["splits"], cfg["workers"],
+                           test_mode=cfg["test_mode"], k_tile=cfg["k_tile"])
+        assert plan.splits >= cfg["splits"]
+        assert plan.binsize == min(cfg["n"] >> cfg["splits"], SMALL_BLOCK)
+        x = random_f32(cfg["n"], seed)
+        out = transform(cfg, x, cfg["workers"])
+        assert l2_norm(out.astype(np.float64), reference(cfg["n"], seed)) <= 1e-6
+        one = transform(cfg, x, 1)
+        assert np.array_equal(one, transform(cfg, x, 2))
+        assert np.array_equal(out, one)
+        assert replay_equals_run_transform(cfg, x)

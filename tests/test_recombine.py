@@ -152,6 +152,11 @@ class TestInplaceKernel:
             with pytest.raises(errors.SizeMismatch):
                 reassemble_pair_inplace(np.ones(2 * m, np.float32), m, 64)
 
+    @pytest.mark.parametrize("k_tile", [0, -3])
+    def test_k_tile_below_one(self, k_tile):
+        with pytest.raises(errors.InvalidPlan):
+            reassemble_pair_inplace(np.zeros(64, np.float32), 32, k_tile)
+
 
 def _strided(n):
     return np.zeros(2 * n, np.float32)[::2]
@@ -178,6 +183,34 @@ def test_kernels_reject_unreadable_buffers(case):
     # garbage, or fail inside numpy with a bare ValueError.
     with pytest.raises(errors.SizeMismatch):
         UNREADABLE[case]()
+
+
+READ_ONLY = {
+    "leaf": lambda out: efft.LeafKernel(8).transform(out[:8]),
+    "basic-target": lambda out: reassemble_pair_basic(
+        np.zeros(8, np.float32), np.zeros(8, np.float32), out[:16]),
+    "inplace-seg": lambda out: reassemble_pair_inplace(out[:16], 8),
+}
+
+
+@pytest.mark.parametrize("case", READ_ONLY)
+def test_kernels_reject_read_only_outputs(case):
+    with handle_create(plan_create(64, 1, workers=1, test_mode=True)) as h:
+        run_transform(h)
+        before = np.array(h.result)
+        with pytest.raises(errors.SizeMismatch, match="writable"):
+            READ_ONLY[case](h.result)
+        assert np.array_equal(h.result, before)
+
+
+def test_read_only_inputs_are_accepted():
+    with handle_create(plan_create(64, 1, workers=1, test_mode=True)) as h:
+        h.data[:] = random_f32(64, seed=5)
+        run_transform(h)
+        target, expected = np.empty(64, np.float32), np.empty(64, np.float32)
+        reassemble_pair_basic(h.result[:32], h.result[32:], target)
+        reassemble_pair_basic(np.array(h.result[:32]), np.array(h.result[32:]), expected)
+        assert np.array_equal(target, expected)
 
 
 class TestFullPipeline:
