@@ -52,11 +52,10 @@ def _metrics(args, splits, workers, seconds, **kw) -> RunMetrics:
 def _time_plan(args, splits, workers, signal, on_result=lambda result: None):
     """Best wall time of `args.repeats` transforms of `signal()` at one plan.
 
-    Returns (splits that ran, seconds, on_result's value): `splits` is a
-    minimum the plan may raise.  `signal` is called once the handle exists,
-    and `on_result` sees the result view before the handle closes.  Nothing
-    of the handle outlives the call, so a later peak-memory reading never
-    counts an earlier handle's buffers as live.
+    `signal` is called once the handle exists, and `on_result` sees the
+    result view before the handle closes; its return value comes back
+    beside the time.  Nothing of the handle outlives the call, so a later
+    peak-memory reading never counts an earlier handle's buffers as live.
     """
     plan = plan_create(args.n, splits, workers, test_mode=args.test_mode)
     with handle_create(plan) as handle:
@@ -66,26 +65,24 @@ def _time_plan(args, splits, workers, signal, on_result=lambda result: None):
             start = time.perf_counter()
             run_transform(handle)
             best = min(best, time.perf_counter() - start)
-        return plan.splits, best, on_result(handle.result)
+        return best, on_result(handle.result)
 
 
 def cmd_transform(args) -> int:
     """Transform a raw binary32 file and write the packed spectrum."""
-    splits, seconds, _ = _time_plan(args, args.splits, args.workers,
-                                    lambda: read_signal(args.input, args.n),
-                                    lambda result: write_signal(args.output, result))
+    seconds, _ = _time_plan(args, args.splits, args.workers,
+                            lambda: read_signal(args.input, args.n),
+                            lambda result: write_signal(args.output, result))
     print(CSV_HEADER)
-    print(_metrics(args, splits, args.workers, seconds).csv_row())
+    print(_metrics(args, args.splits, args.workers, seconds).csv_row())
     return 0
 
 
 def cmd_scan(args) -> int:
     """Scan the (splits, workers) grid; one row per cell plus the argmax row.
 
-    A row reports the splits its plan ran, so cells below the plan's
-    minimum all show that minimum.  Cells whose plan or handle cannot be
-    made are reported as failed rows, with the requested splits, and the
-    scan continues.  The final row repeats the best cell with
+    Cells whose plan or handle cannot be made are reported as failed rows
+    and the scan continues.  The final row repeats the best cell with
     status "best".  Input data is the fixed-seed random signal.
     """
     splits_list = parse_int_list(args.splits)
@@ -97,12 +94,12 @@ def cmd_scan(args) -> int:
     for splits in splits_list:
         for workers in workers_list:
             try:
-                ran, seconds, _ = _time_plan(args, splits, workers, lambda: signal)
+                seconds, _ = _time_plan(args, splits, workers, lambda: signal)
             except EfftError as exc:
                 print(f"# skipped s={splits} T={workers}: {exc}", file=sys.stderr)
                 print(failed_row(args.n, splits, workers))
                 continue
-            metrics = _metrics(args, ran, workers, seconds)
+            metrics = _metrics(args, splits, workers, seconds)
             print(metrics.csv_row())
             if best is None or metrics.gflops > best.gflops:
                 best = metrics
@@ -126,8 +123,8 @@ def cmd_check(args) -> int:
     if args.spot_checks < 1:
         raise ValueError("--spot-checks must be >= 1")
     signal = random_signal(args.n, DEFAULT_SEED)
-    splits, seconds, packed = _time_plan(args, args.splits, args.workers, lambda: signal,
-                                         lambda result: np.array(result, dtype=np.float64))
+    seconds, packed = _time_plan(args, args.splits, args.workers, lambda: signal,
+                                 lambda result: np.array(result, dtype=np.float64))
 
     if args.n <= FULL_CHECK_LIMIT:
         reference = oracle.pack_perm(oracle.naive_dft(signal))
@@ -144,7 +141,7 @@ def cmd_check(args) -> int:
         measure = float(np.max(np.abs(computed - exact) / scale))
         ok = measure <= SPOT_TOLERANCE
 
-    metrics = _metrics(args, splits, args.workers, seconds, l2=measure,
+    metrics = _metrics(args, args.splits, args.workers, seconds, l2=measure,
                        status="ok" if ok else "failed")
     print(CSV_HEADER)
     print(metrics.csv_row())
@@ -156,10 +153,10 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     """Benchmark one configuration with the fixed-seed random signal."""
-    splits, seconds, _ = _time_plan(args, args.splits, args.workers,
-                                    lambda: random_signal(args.n, DEFAULT_SEED))
+    seconds, _ = _time_plan(args, args.splits, args.workers,
+                            lambda: random_signal(args.n, DEFAULT_SEED))
     print(CSV_HEADER)
-    print(_metrics(args, splits, args.workers, seconds).csv_row())
+    print(_metrics(args, args.splits, args.workers, seconds).csv_row())
     return 0
 
 

@@ -3,10 +3,7 @@
 A plan fixes one transform configuration: size n, number of radix-2 splits
 s, the derived bin count b = 2**s and bin size m = n/b, the bit-reversal
 bin map, the tile length on which merge pieces are cut, and the worker
-count.  The requested split count is a minimum: plan_create raises it
-until a bin holds at most parallel.BLOCK floats, because pocketfft's
-leaves slow sharply above that size, and the plan records the splits that
-run.  A handle owns the 64-byte-aligned input and scratch buffers for a
+count.  A handle owns the 64-byte-aligned input and scratch buffers for a
 plan plus one private leaf kernel per worker, and is meant to be created
 once and reused for any number of transforms.
 
@@ -43,7 +40,7 @@ from .errors import (
 )
 from .leaf_dft import LeafKernel, _is_pow2
 from .memory import aligned_empty
-from .parallel import BLOCK, WorkerPool, chunk_ranges
+from .parallel import WorkerPool, chunk_ranges
 from .recombine import merge_block, pieces
 from .scatter import build_scatter_index, scatter
 
@@ -80,9 +77,7 @@ def plan_create(
 
     Outside test mode, n must be a multiple of 2**(splits+8).  In either
     mode n / 2**splits must be a power of two >= 4, the sizes the leaf
-    kernel accepts.  splits is a minimum: once those checks pass, it is
-    raised to the smallest count whose bins hold at most BLOCK floats, and
-    the plan's splits, bins, binsize and scatter_index describe that count.
+    kernel accepts.
     """
     if n < 1:
         raise InvalidPlan(f"n must be >= 1, got {n}")
@@ -107,9 +102,6 @@ def plan_create(
             f"bin size {n}/{bins} must be a power of two >= {MIN_LEAF} "
             f"for the leaf kernel"
         )
-    while binsize > BLOCK:
-        splits, binsize = splits + 1, binsize // 2
-    bins = 1 << splits
     return TransformPlan(
         n=n,
         splits=splits,

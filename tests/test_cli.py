@@ -266,8 +266,8 @@ class TestBench:
 
 
 @pytest.mark.parametrize("command", ["transform", "bench", "check", "scan"])
-def test_rows_report_the_splits_that_ran(command, tmp_path, capsys):
-    # 2^18 / 2**0 exceeds one block, so the plan runs one split more.
+def test_rows_report_the_requested_splits(command, tmp_path, capsys):
+    # One bin of 2^18, larger than a scatter block, still runs as asked.
     n = 2 ** 18
     argv = [command, "--size", "2^18", "--splits", "0", "--workers", "1"]
     if command == "transform":
@@ -276,7 +276,7 @@ def test_rows_report_the_splits_that_ran(command, tmp_path, capsys):
         argv += ["--repeats", "1"]
     code, stdout, _ = run_cli(argv, capsys)
     assert code == 0
-    assert [row[1] for row in parse_csv(stdout)] == ["1"] * (2 if command == "scan" else 1)
+    assert [row[1] for row in parse_csv(stdout)] == ["0"] * (2 if command == "scan" else 1)
 
 
 class TestWorkerPrecedence:

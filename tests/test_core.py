@@ -12,7 +12,6 @@ import efft
 from efft import errors
 from efft.core import PermSpectrum, handle_create, plan_create, run_transform
 from efft.oracle import naive_dft
-from efft.parallel import BLOCK
 
 from conftest import random_f32
 
@@ -29,23 +28,12 @@ class TestPlanCreate:
             "TransformPlan(n=1048576, splits=3, bins=8, binsize=131072, "
             "k_tile=64, workers=2, test_mode=False)")
 
-    def test_splits_rise_until_a_bin_fits_a_block(self):
-        plan = plan_create(2 ** 22, 4, workers=1)
-        assert (plan.splits, plan.bins, plan.binsize) == (5, 32, BLOCK)
-        assert np.array_equal(plan.scatter_index, efft.build_scatter_index(5))
-        assert plan_create(2 ** 24, 0, workers=1).binsize == BLOCK
-
-    @pytest.mark.parametrize("n, splits", [(2 ** 20, 8), (2 ** 16, 0), (2 ** 22, 6)])
-    def test_plans_whose_bins_fit_are_unchanged(self, n, splits):
+    @pytest.mark.parametrize("n, splits", [(2 ** 20, 8), (2 ** 16, 0), (2 ** 22, 6),
+                                           (2 ** 22, 4), (2 ** 24, 0)])
+    def test_plan_runs_the_requested_splits(self, n, splits):
         plan = plan_create(n, splits, workers=1)
         assert (plan.splits, plan.bins, plan.binsize) == (splits, 2 ** splits, n >> splits)
-
-    def test_requested_splits_are_checked_before_they_rise(self):
-        # 2**(15+8) does not divide 2^22, although the raised count 5 would.
-        with pytest.raises(errors.SizeConstraintViolation):
-            plan_create(2 ** 22, 15, workers=1)
-        with pytest.raises(errors.SplitsTooLarge):
-            plan_create(2 ** 22, 23, workers=1, test_mode=True)
+        assert np.array_equal(plan.scatter_index, efft.build_scatter_index(splits))
 
     def test_size_constraint_enforced(self):
         with pytest.raises(errors.SizeConstraintViolation):

@@ -1,6 +1,7 @@
 """Tests for the serial real-input leaf kernel."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,21 @@ def test_spot_checks_at_benchmark_bin_sizes(m):
     computed = np.array([PermSpectrum(buf).coefficient(k) for k in ks])
     scale = np.maximum(np.abs(exact), np.sqrt(np.mean(np.abs(exact) ** 2)))
     assert np.max(np.abs(computed - exact) / scale) <= 1e-5
+
+
+def test_leaf_allocates_no_per_call_buffer():
+    """One call allocates no cast buffers, as numpy's float64 loop would."""
+    m = 2 ** 14
+    kernel = LeafKernel(m)
+    buf = random_f32(m, seed=4)
+    kernel.transform(buf)
+    tracemalloc.start()
+    try:
+        kernel.transform(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 def test_concurrent_kernels_agree_bitwise():
