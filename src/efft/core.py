@@ -10,11 +10,12 @@ once and reused for any number of transforms.
 run_transform is the one place that composes the three stages; the stage
 modules never import one another.  Scatter (stage I) fills the bins of the
 scratch buffer, one parallel_for runs the leaf transforms (stage II) over
-contiguous runs of bins with the current worker's kernel, and then each
-merge level (stage III), deepest first, is one parallel_for over pieces of
-the level.  A piece is a group of segments (rows of the level's
-(segments, 2m) view) times a range of coefficients, merged in one call,
-and no merged value depends on which piece computed it.
+contiguous runs of bins, each run cut into calls of up to kernel.bins bins
+on the current worker's kernel, and then each merge level (stage III),
+deepest first, is one parallel_for over pieces of the level.  A piece is
+a group of segments (rows of the level's (segments, 2m) view) times a
+range of coefficients, merged in one call, and no merged value depends on
+which piece computed it.
 
 Packed spectrum layout (length-M real buffer for a length-M real input):
 
@@ -193,8 +194,9 @@ def run_transform(handle: TransformHandle) -> np.ndarray:
 
     def leaves(lo, hi):
         kernel = handle.kernel_for_current_worker()
-        for b in range(lo, hi, binsize):
-            kernel.transform(buf[b:b + binsize])
+        step = kernel.bins * binsize
+        for b in range(lo, hi, step):
+            kernel.transform(buf[b:min(b + step, hi)])
 
     if not handle._lock.acquire(blocking=False):
         raise HandleBusy("the handle is already running a transform")

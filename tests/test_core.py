@@ -265,3 +265,21 @@ def test_core_alone_composes_the_stages():
         assert imported <= {"errors", "memory", "parallel"}, name
     assert not hasattr(efft.TransformHandle, "run")
     assert not hasattr(efft.TransformHandle, "pool")
+
+
+@pytest.mark.parametrize("n,splits,workers,calls", [
+    (2 ** 20, 8, 1, 32), (2 ** 20, 8, 2, 32), (2 ** 22, 4, 1, 16), (2 ** 16, 0, 1, 1)])
+def test_leaves_run_in_batched_calls(n, splits, workers, calls):
+    # 256 bins of 2^12 take 8 bins a call; a bin of 2^15 or more takes one.
+    with handle_create(plan_create(n, splits, workers)) as h:
+        h.data[:] = random_f32(n, seed=3)
+        expected = np.array(run_transform(h))
+        sizes = []
+        for kernel in h._kernels:
+            def counted(buf, transform=kernel.transform):
+                sizes.append(buf.size)
+                transform(buf)
+            kernel.transform = counted
+        assert np.array_equal(run_transform(h), expected)
+    assert len(sizes) == calls
+    assert sum(sizes) == n

@@ -1,12 +1,15 @@
 """Tests for the serial real-input leaf kernel."""
 
+import gc
 import threading
 import tracemalloc
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from efft import errors
+from efft import errors, memory
 from efft.core import PermSpectrum
 from efft.leaf_dft import LeafKernel
 from efft.oracle import l2_norm, naive_dft, naive_dft_at, pack_perm
@@ -45,7 +48,7 @@ def test_ramp_m8():
 def test_size_mismatch():
     kernel = LeafKernel(8)
     with pytest.raises(errors.SizeMismatch):
-        kernel.transform(np.zeros(16, dtype=np.float32))
+        kernel.transform(np.zeros(12, dtype=np.float32))
     with pytest.raises(errors.SizeMismatch):
         kernel.transform(np.zeros(8, dtype=np.float64))
 
@@ -140,18 +143,92 @@ def test_spot_checks_at_benchmark_bin_sizes(m):
 
 
 def test_leaf_allocates_no_per_call_buffer():
-    """One call allocates no cast buffers, as numpy's float64 loop would."""
-    m = 2 ** 14
-    kernel = LeafKernel(m)
-    buf = random_f32(m, seed=4)
-    kernel.transform(buf)
-    tracemalloc.start()
-    try:
+    """No call allocates cast buffers, as numpy's float64 loop would.
+
+    Checked for one bin of 2^14 and for a full call of 8 bins of 2^12.
+    """
+    for m, k in ((2 ** 14, 1), (2 ** 12, 8)):
+        kernel = LeafKernel(m)
+        buf = random_f32(k * m, seed=4)
         kernel.transform(buf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 1024
+        tracemalloc.start()
+        try:
+            kernel.transform(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024, (m, k)
+
+
+@pytest.mark.parametrize("m,bins", [(4, 8192), (2 ** 12, 8), (2 ** 13, 4), (2 ** 14, 2),
+                                    (2 ** 15, 1), (2 ** 16, 1), (2 ** 18, 1)])
+def test_bins_per_call_keep_a_call_within_one_block(m, bins):
+    # A call reads k*m floats, writes and rereads a lane of k*(m+2), writes k*m.
+    assert LeafKernel(m).bins == bins
+
+
+@st.composite
+def batches(draw):
+    m = 1 << draw(st.integers(2, 16))
+    bins = LeafKernel(m).bins
+    k = draw(st.integers(1, bins))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.random(k * m, dtype=np.float32) - np.float32(0.5)
+    x *= np.float32(2.0 ** draw(st.integers(-90, 90)))
+    for zero in (0.0, -0.0):
+        x[rng.integers(0, k * m, size=draw(st.integers(0, k * m)))] = zero
+    return m, k, x
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(batch=batches())
+def test_batched_call_equals_single_bin_calls_bitwise(batch):
+    m, k, x = batch
+    kernel = LeafKernel(m)
+    batched, single = x.copy(), x.copy()
+    kernel.transform(batched)
+    for lo in range(0, k * m, m):
+        kernel.transform(single[lo:lo + m])
+    assert np.array_equal(batched.view(np.uint32), single.view(np.uint32))
+
+
+def _read_only(n):
+    buf = np.zeros(n, np.float32)
+    buf.setflags(write=False)
+    return buf
+
+
+BAD_BATCHES = {
+    "empty": lambda m, bins: np.zeros(0, np.float32),
+    "part-of-a-bin": lambda m, bins: np.zeros(m // 2, np.float32),
+    "not-whole-bins": lambda m, bins: np.zeros(m + m // 2, np.float32),
+    "above-bins": lambda m, bins: np.zeros((bins + 1) * m, np.float32),
+    "strided": lambda m, bins: np.zeros(4 * m, np.float32)[::2],
+    "read-only": lambda m, bins: _read_only(2 * m),
+    "two-dimensional": lambda m, bins: np.zeros((2, m), np.float32),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BATCHES)
+def test_batched_call_rejects_bad_buffers(case):
+    kernel = LeafKernel(2 ** 12)
+    buf = BAD_BATCHES[case](kernel.m, kernel.bins)
+    before = buf.copy()
+    with pytest.raises(errors.SizeMismatch):
+        kernel.transform(buf)
+    assert np.array_equal(buf, before)
+
+
+def test_live_bytes_count_the_whole_lane():
+    # 8 bins of 2^12 hold 8 lanes of 2049 complex64 slots.
+    gc.collect()
+    before = memory._live_bytes
+    kernel = LeafKernel(2 ** 12)
+    gc.collect()
+    assert memory._live_bytes - before == 8 * 2049 * 8
+    del kernel
+    gc.collect()
+    assert memory._live_bytes == before
 
 
 def test_concurrent_kernels_agree_bitwise():
