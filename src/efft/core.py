@@ -9,13 +9,14 @@ once and reused for any number of transforms.
 
 run_transform is the one place that composes the three stages; the stage
 modules never import one another.  Scatter (stage I) fills the bins of the
-scratch buffer, one parallel_for runs the leaf transforms (stage II) over
-contiguous runs of bins, each run cut into calls of up to kernel.bins bins
-on the current worker's kernel, and then each merge level (stage III),
-deepest first, is one parallel_for over pieces of the level.  A piece is
-a group of segments (rows of the level's (segments, 2m) view) times a
-range of coefficients, merged in one call, and no merged value depends on
-which piece computed it.
+scratch buffer, one parallel_for runs the leaf transforms (stage II), one
+chunk per kernel call of kernel.bins bins on the current worker's kernel,
+and then each merge level (stage III), deepest first, is one parallel_for
+over pieces of the level.  A piece is a group of segments (rows of the
+level's (segments, 2m) view) times a range of coefficients, merged in one
+call, and no merged value depends on which piece computed it.  Every
+stage cuts its chunks by size alone, so a plan runs the same chunks at
+any worker count.
 
 Packed spectrum layout (length-M real buffer for a length-M real input):
 
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .leaf_dft import LeafKernel, _is_pow2
 from .memory import aligned_empty
-from .parallel import WorkerPool, chunk_ranges
+from .parallel import WorkerPool, blocks
 from .recombine import merge_block, pieces
 from .scatter import build_scatter_index, scatter
 
@@ -120,10 +121,11 @@ class TransformHandle:
 
     Creation allocates the input and scratch buffers as one aligned block
     (one allocation, so creating and closing handles keeps reusing the same
-    pages), makes one leaf kernel per worker, and writes zeros over both
-    buffers through the pool, so that their pages exist before the first
-    transform.  All of that is reused across transforms; running one never
-    reallocates.
+    pages), makes one leaf kernel per worker, starts the pool, and writes
+    zeros over both buffers through the pool, so that their pages exist
+    before the first transform.  All of that is reused across transforms.
+    Each thread allocates its merge workspace on its first merge and keeps
+    it, so the calling thread's workspace outlives the handle.
 
     A handle belongs to one logical owner at a time: it may move between
     threads, but a transform started while another runs raises HandleBusy.
@@ -139,12 +141,14 @@ class TransformHandle:
         self._input = self._block[:plan.n]
         self._scratch = self._block[offset:]
         self._lock = threading.Lock()
-        self._pool = WorkerPool(plan.workers)
-        self._kernels = [LeafKernel(plan.binsize) for _ in range(plan.workers)]
         self._result = self._scratch.view()
         self._result.setflags(write=False)
+        self._kernels = [LeafKernel(plan.binsize) for _ in range(plan.workers)]
+        self._pool = WorkerPool(plan.workers)
         self._finalizer = weakref.finalize(self, WorkerPool.shutdown, self._pool)
-        self._pool.parallel_for(chunk_ranges(0, self._block.size, 1, plan.workers),
+        # One chunk per worker: the fill only spreads the pages' first touch.
+        size = self._block.size
+        self._pool.parallel_for(blocks(0, size, 1, -(-size // plan.workers)),
                                 lambda lo, hi: self._block[lo:hi].fill(0.0))
 
     @property
@@ -191,22 +195,20 @@ def run_transform(handle: TransformHandle) -> np.ndarray:
         raise HandleClosed("the handle is closed")
     plan, pool, buf = handle.plan, handle._pool, handle._scratch
     binsize = plan.binsize
+    calls = blocks(0, plan.n, binsize, handle._kernels[0].bins * binsize)
 
     def leaves(lo, hi):
-        kernel = handle.kernel_for_current_worker()
-        step = kernel.bins * binsize
-        for b in range(lo, hi, step):
-            kernel.transform(buf[b:min(b + step, hi)])
+        handle.kernel_for_current_worker().transform(buf[lo:hi])
 
     if not handle._lock.acquire(blocking=False):
         raise HandleBusy("the handle is already running a transform")
     try:
         scatter(handle.data, buf, plan, pool=pool)
-        pool.parallel_for(chunk_ranges(0, plan.n, binsize, plan.workers), leaves)
+        pool.parallel_for(calls, leaves)
         m = binsize
         while 2 * m <= plan.n:
             rows = buf.reshape(-1, 2 * m)
-            pool.parallel_for(pieces(rows, m, plan.k_tile, plan.workers), merge_block)
+            pool.parallel_for(pieces(rows, m, plan.k_tile), merge_block)
             m *= 2
     finally:
         handle._lock.release()

@@ -22,7 +22,7 @@ class SplitsTooLarge(EfftError, ValueError):
 
 
 class AllocationFailure(EfftError, MemoryError):
-    """An aligned signal buffer could not be allocated."""
+    """An aligned signal buffer or a worker thread could not be allocated."""
 
 
 class SizeMismatch(EfftError, ValueError):

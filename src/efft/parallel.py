@@ -1,7 +1,7 @@
 """Worker pool that runs the transform stages as flat batches of chunks.
 
 Every stage is one parallel_for over a list of independent chunks: the
-scatter chunks, the leaf bins, and then one batch per merge level.  The
+scatter chunks, the leaf calls, and then one batch per merge level.  The
 workers of a batch (the calling thread plus T-1 pool threads) claim chunk
 indices from the shared batch one at a time until none is left, so a slow
 chunk never holds up the others.  parallel_for returns, or raises the
@@ -12,19 +12,23 @@ Correctness of client code must not depend on which worker runs which
 chunk; the stages only ever write disjoint buffer regions, so results are
 identical under any schedule.
 
-BLOCK, 2^17 float32 elements (512 KiB), is the one size constant of the
-stages: the most data one chunk of a pass over memory moves.  A scatter
-chunk moves at most BLOCK elements, a merge piece holds at most
-BLOCK // 8 coefficient pairs, because each pair reads and writes 8 floats,
-and a leaf call transforms at least one and at most BLOCK // (4m) bins of
-m, because each bin reads m floats, writes and rereads a lane of m+2 and
-writes m.
+Every stage cuts its work with blocks, by a chunk size and never by the
+worker count, so a plan's chunks are the same at any T and the claiming
+above does the balancing.  BLOCK, 2^17 float32 elements (512 KiB), is the
+one size constant of the stages: the most data one chunk of a pass over
+memory moves.  A scatter chunk moves at most BLOCK elements, a merge piece
+holds at most BLOCK // 8 coefficient pairs, because each pair reads and
+writes 8 floats, and a leaf call transforms at least one and at most
+BLOCK // (4m) bins of m, because each bin reads m floats, writes and
+rereads a lane of m+2 and writes m.
 On a Xeon with a 2 MiB L2, scatter of a 2^22 signal into 16 bins at T=1
 took 7.1-7.6 ms with blocks of 2^16 to 2^18 elements, 12.9 ms at 2^19 and
 17.6 ms at 2^20.
 """
 
 import threading
+
+from .errors import AllocationFailure
 
 BLOCK = 1 << 17
 
@@ -45,13 +49,19 @@ class WorkerPool:
         self._shutdown = False
         self._local = threading.local()
         self._threads = []
-        for slot in range(workers - 1):
-            t = threading.Thread(
-                target=self._thread_main, args=(slot,),
-                name=f"efft-worker-{slot}", daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
+        try:
+            for slot in range(workers - 1):
+                t = threading.Thread(
+                    target=self._thread_main, args=(slot,),
+                    name=f"efft-worker-{slot}", daemon=True,
+                )
+                t.start()
+                self._threads.append(t)
+        except (RuntimeError, MemoryError) as exc:
+            self.shutdown()
+            raise AllocationFailure(
+                f"could not start worker thread {slot + 1} of {workers - 1}: {exc}"
+            ) from exc
 
     def current_slot(self) -> int:
         """Stable worker index of the calling thread, in [0, workers).
@@ -126,22 +136,12 @@ class WorkerPool:
                     self._cv.notify_all()
 
 
-def chunk_ranges(start: int, stop: int, step: int, max_chunks: int):
-    """Split [start, stop) into at most max_chunks ranges on step boundaries.
+def blocks(start: int, stop: int, step: int, size: int):
+    """Cut [start, stop) into runs of `size` rounded down to whole steps.
 
-    Returns (lo, hi) pairs covering the range exactly; every boundary is a
-    multiple of step away from start, so tiles are never split mid-tile.
+    Returns (lo, hi) pairs covering the range exactly.  Every run holds at
+    least one step, every boundary is a multiple of step away from start,
+    and only the last run may be shorter.
     """
-    total = stop - start
-    if total <= 0:
-        return []
-    tiles = -(-total // step)
-    nchunks = max(1, min(max_chunks, tiles))
-    per_chunk = -(-tiles // nchunks) * step
-    out = []
-    lo = start
-    while lo < stop:
-        hi = min(lo + per_chunk, stop)
-        out.append((lo, hi))
-        lo = hi
-    return out
+    run = max(1, size // step) * step
+    return [(lo, min(lo + run, stop)) for lo in range(start, stop, run)]

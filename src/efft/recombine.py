@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import InvalidPlan, SizeMismatch
 from .memory import aligned_empty, check_lane
-from .parallel import BLOCK
+from .parallel import BLOCK, blocks
 
 
 def _twiddle_lanes(m: int, k: np.ndarray, out=None):
@@ -177,27 +177,21 @@ def merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
     np.add(e_mu, tm, out=e_mu)                  # F_mu
 
 
-def pieces(rows: np.ndarray, m: int, k_tile: int, workers: int):
+def pieces(rows: np.ndarray, m: int, k_tile: int):
     """(rows[r0:r1], m, ka, kb) pieces that cover one merge level.
 
     m is a power of two >= 4, so coefficients 1..m/4 are never empty.
     A piece holds at most cap = BLOCK // 8 coefficient pairs, because each
-    pair reads and writes 8 floats.  The coefficients are cut on k_tile
-    boundaries (k_tile capped at cap) into runs of at most cap, and rows are
-    grouped so that no piece holds more than cap pairs.  A level with fewer
-    rows than workers gets shorter runs, and one with more gets smaller
-    groups, so that there are about `workers` pieces or more.
+    pair reads and writes 8 floats.  The coefficients are cut into runs of
+    cap, rounded down to whole k_tiles (k_tile capped at cap), and the rows
+    into groups of as many as fit beside the first run.  The pieces depend
+    only on the level's shape and k_tile, never on the worker count.
     """
-    segments, kend, cap = rows.shape[0], m // 4 + 1, BLOCK // 8
-    tile = min(k_tile, cap)
-    tiles = -(-(kend - 1) // tile)
-    # The longest run that fits a piece, shortened while rows are fewer than workers.
-    run = tile * min(cap // tile, -(-tiles // -(-workers // segments)))
-    # As many rows as fit beside the run, but no more than a worker's share.
-    group = min(cap // min(run, kend - 1), -(-segments // workers))
-    ks = [(ka, min(ka + run, kend)) for ka in range(1, kend, run)]
-    return [(rows[r0:r0 + group], m, ka, kb)
-            for r0 in range(0, segments, group) for ka, kb in ks]
+    cap = BLOCK // 8
+    ks = blocks(1, m // 4 + 1, min(k_tile, cap), cap)
+    run = ks[0][1] - ks[0][0]
+    return [(rows[r0:r1], m, ka, kb)
+            for r0, r1 in blocks(0, rows.shape[0], 1, cap // run) for ka, kb in ks]
 
 
 def reassemble_pair_inplace(seg: np.ndarray, m: int, k_tile: int = 64) -> None:
@@ -213,5 +207,5 @@ def reassemble_pair_inplace(seg: np.ndarray, m: int, k_tile: int = 64) -> None:
     if k_tile < 1:
         raise InvalidPlan(f"k_tile must be >= 1, got {k_tile}")
     check_lane(seg, 2 * m, "seg", writable=True)
-    for piece in pieces(seg.reshape(1, 2 * m), m, k_tile, 1):
+    for piece in pieces(seg.reshape(1, 2 * m), m, k_tile):
         merge_block(*piece)

@@ -3,18 +3,18 @@
 Element i*b + j of the input lands in bin bit_reverse(j) at offset i, which
 is exactly s rounds of even/odd separation collapsed into one pass.  The
 pass is cut into contiguous ranges of rows i, each moving at most BLOCK
-elements (one row if a row is longer), and into at least one range per
-worker.  Each range is one indexed copy that reads its rows of the input
-in order and writes a unit-stride run into every bin.  It then checks the
-values it wrote for NaN and infinity while they are still in cache; the
-scratch buffer is undefined until a run succeeds, so a range written
-before another one raised is harmless.
+elements (one row if a row is longer), whatever the worker count.  Each
+range is one indexed copy that reads its rows of the input in order and
+writes a unit-stride run into every bin.  It then checks the values it
+wrote for NaN and infinity while they are still in cache; the scratch
+buffer is undefined until a run succeeds, so a range written before
+another one raised is harmless.
 """
 
 import numpy as np
 
 from .errors import NonFiniteInput, SizeMismatch
-from .parallel import BLOCK, chunk_ranges
+from .parallel import BLOCK, blocks
 
 
 def build_scatter_index(splits: int) -> np.ndarray:
@@ -46,7 +46,7 @@ def scatter(input_buf: np.ndarray, scratch_buf: np.ndarray, plan, pool=None) -> 
         if not np.isfinite(dst[:, lo:hi]).all():
             raise NonFiniteInput("input contains non-finite values")
 
-    chunks = chunk_ranges(0, plan.binsize, 1, max(plan.workers, -(-n // BLOCK)))
+    chunks = blocks(0, plan.binsize, 1, BLOCK // plan.bins)
     if pool is None:
         for lo, hi in chunks:
             body(lo, hi)

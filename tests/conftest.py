@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,25 @@ def naive_even_odd_scatter(x, splits):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def worker_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("efft-worker-")}
+
+
+@pytest.fixture
+def third_thread_refused(monkeypatch):
+    """Make the third Thread.start raise, as when the OS refuses a thread.
+
+    Yields the threads whose start was called, the refused one last.
+    """
+    start, calls = threading.Thread.start, []
+
+    def flaky_start(thread):
+        calls.append(thread)
+        if len(calls) == 3:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", flaky_start)
+    yield calls

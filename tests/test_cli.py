@@ -141,6 +141,16 @@ class TestCleanErrors:
         assert stdout == ""
         assert "error: cannot allocate 64 bytes" in stderr
 
+    def test_worker_thread_refused(self, third_thread_refused, capsys):
+        code, stdout, stderr = run_cli(
+            ["bench", "--size", "2^10", "--splits", "1", "--workers", "5",
+             "--test-mode"], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: could not start worker thread")
+        assert len(stderr.splitlines()) == 1
+        assert not any(t.is_alive() for t in third_thread_refused)
+
     @pytest.mark.parametrize("argv", [
         # numpy refuses the 2^62-float input signal before allocating it.
         ["scan", "--size", "2^62", "--splits", "0", "--scan-workers", "1"],

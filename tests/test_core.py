@@ -11,9 +11,10 @@ import pytest
 import efft
 from efft import errors
 from efft.core import PermSpectrum, handle_create, plan_create, run_transform
+from efft.leaf_dft import LeafKernel
 from efft.oracle import naive_dft
 
-from conftest import random_f32
+from conftest import random_f32, worker_threads
 
 
 class TestPlanCreate:
@@ -268,7 +269,8 @@ def test_core_alone_composes_the_stages():
 
 
 @pytest.mark.parametrize("n,splits,workers,calls", [
-    (2 ** 20, 8, 1, 32), (2 ** 20, 8, 2, 32), (2 ** 22, 4, 1, 16), (2 ** 16, 0, 1, 1)])
+    (2 ** 20, 8, 1, 32), (2 ** 20, 8, 2, 32), (2 ** 20, 8, 4, 32), (2 ** 22, 4, 1, 16),
+    (2 ** 16, 0, 1, 1)])
 def test_leaves_run_in_batched_calls(n, splits, workers, calls):
     # 256 bins of 2^12 take 8 bins a call; a bin of 2^15 or more takes one.
     with handle_create(plan_create(n, splits, workers)) as h:
@@ -283,3 +285,55 @@ def test_leaves_run_in_batched_calls(n, splits, workers, calls):
         assert np.array_equal(run_transform(h), expected)
     assert len(sizes) == calls
     assert sum(sizes) == n
+
+
+def batches(n, splits, workers):
+    """Every parallel_for batch one run makes, as lists of comparable chunks.
+
+    A merge piece's rows are recorded as their offset into the scratch
+    buffer and their shape, so that handles of different T compare.
+    """
+    recorded = []
+    with handle_create(plan_create(n, splits, workers, test_mode=True)) as h:
+        h.data[:] = random_f32(n, seed=5)
+        base, parallel_for = h._scratch.ctypes.data, h._pool.parallel_for
+
+        def key(item):
+            if isinstance(item, np.ndarray):
+                return item.ctypes.data - base, item.shape
+            return item
+
+        def recording(chunks, body):
+            chunks = list(chunks)
+            recorded.append([tuple(key(item) for item in chunk) for chunk in chunks])
+            parallel_for(chunks, body)
+
+        h._pool.parallel_for = recording
+        run_transform(h)
+    return recorded
+
+
+@pytest.mark.parametrize("n,splits", [
+    (2 ** 22, 4), (2 ** 20, 8), (2 ** 16, 0), (2 ** 16, 2), (2 ** 12, 2)])
+def test_chunk_grid_does_not_depend_on_workers(n, splits):
+    grid = batches(n, splits, 1)
+    assert len(grid) == splits + 2          # scatter, leaves, one batch per level
+    for workers in (2, 4):
+        assert batches(n, splits, workers) == grid
+
+
+def test_failed_kernel_starts_no_thread(monkeypatch):
+    # A kernel whose lane cannot be allocated fails before the pool starts.
+    made = []
+
+    def kernel(m):
+        if len(made) == 2:
+            raise errors.AllocationFailure("cannot allocate the leaf lane")
+        made.append(m)
+        return LeafKernel(m)
+
+    before = worker_threads()
+    monkeypatch.setattr(importlib.import_module("efft.core"), "LeafKernel", kernel)
+    with pytest.raises(errors.AllocationFailure):
+        handle_create(plan_create(2 ** 12, 2, workers=3))
+    assert worker_threads() <= before

@@ -6,7 +6,10 @@ import time
 
 import pytest
 
-from efft.parallel import WorkerPool, chunk_ranges
+from efft.errors import AllocationFailure, EfftError
+from efft.parallel import WorkerPool, blocks
+
+from conftest import worker_threads
 
 
 @pytest.fixture(params=[1, 2, 4])
@@ -24,7 +27,7 @@ def test_parallel_for_covers_all_chunks(pool):
         with lock:
             seen.append((lo, hi))
 
-    chunks = chunk_ranges(0, 100, 7, 6)
+    chunks = blocks(0, 100, 7, 16)
     pool.parallel_for(chunks, body)
     assert sorted(seen) == chunks
 
@@ -60,7 +63,7 @@ def test_back_to_back_batches_run_every_chunk_once(pool):
 
     def batches():
         for _ in range(200):
-            pool.parallel_for(chunk_ranges(0, 64, 1, 64), body)
+            pool.parallel_for(blocks(0, 64, 1, 1), body)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -91,7 +94,7 @@ def test_current_slot_in_range(pool):
         with lock:
             slots.add(pool.current_slot())
 
-    pool.parallel_for(chunk_ranges(0, 64, 1, 64), record)
+    pool.parallel_for(blocks(0, 64, 1, 1), record)
     assert all(0 <= s < pool.workers for s in slots)
 
 
@@ -100,14 +103,17 @@ def test_worker_count_validation():
         WorkerPool(0)
 
 
-def test_chunk_ranges():
-    assert chunk_ranges(0, 0, 4, 8) == []
-    assert chunk_ranges(0, 16, 4, 2) == [(0, 8), (8, 16)]
-    assert chunk_ranges(0, 10, 4, 8) == [(0, 4), (4, 8), (8, 10)]
-    assert chunk_ranges(0, 100, 7, 1) == [(0, 100)]
-    # boundaries always land on step multiples relative to start
-    for lo, hi in chunk_ranges(3, 100, 8, 5)[:-1]:
-        assert (lo - 3) % 8 == 0 and (hi - 3) % 8 == 0
+def test_blocks():
+    assert blocks(0, 0, 4, 8) == []
+    assert blocks(0, 64, 1, 1) == [(i, i + 1) for i in range(64)]
+    # the last run holds the remainder
+    assert blocks(0, 10, 4, 8) == [(0, 8), (8, 10)]
+    assert blocks(0, 10, 1, 4) == [(0, 4), (4, 8), (8, 10)]
+    # a size below one step still takes a whole step
+    assert blocks(0, 12, 4, 3) == [(0, 4), (4, 8), (8, 12)]
+    assert blocks(0, 100, 7, 1000) == [(0, 100)]
+    # sizes round down to whole steps counted from start
+    assert blocks(3, 40, 8, 20) == [(3, 19), (19, 35), (35, 40)]
 
 
 def test_shutdown_stops_threads():
@@ -115,3 +121,13 @@ def test_shutdown_stops_threads():
     threads = list(p._threads)
     p.shutdown()
     assert all(not t.is_alive() for t in threads)
+
+
+def test_failed_thread_start_stops_the_started_threads(third_thread_refused):
+    before = worker_threads()
+    with pytest.raises(AllocationFailure) as info:
+        WorkerPool(5)
+    assert isinstance(info.value, EfftError)
+    assert len(third_thread_refused) == 3
+    assert not any(t.is_alive() for t in third_thread_refused)
+    assert worker_threads() <= before

@@ -8,7 +8,8 @@ import pytest
 from efft.core import handle_create, plan_create, run_transform
 from efft.leaf_dft import LeafKernel
 from efft.oracle import l2_norm, naive_dft, pack_perm
-from efft.recombine import reassemble_pair_inplace
+from efft.parallel import BLOCK
+from efft.recombine import pieces, reassemble_pair_inplace
 from efft.scatter import scatter
 
 from conftest import random_f32
@@ -98,3 +99,30 @@ def test_scaling_by_a_power_of_two_is_exact(cfg, seed, e):
     scale = np.float32(2.0 ** e)
     out = transform(cfg, x, cfg["workers"])
     assert np.array_equal(transform(cfg, x * scale, cfg["workers"]), out * scale)
+
+
+def tile(ranges, start, stop):
+    """True if the sorted (lo, hi) ranges cover [start, stop) exactly once."""
+    return (ranges[0][0] == start and ranges[-1][1] == stop
+            and all(lo < hi for lo, hi in ranges)
+            and all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(segments=st.integers(1, 1 << 10), log_m=st.integers(2, 20),
+                  k_tile=st.integers(1, 600))
+def test_pieces_cover_every_pair_once_within_a_block(segments, log_m, k_tile):
+    m, cap = 1 << log_m, BLOCK // 8
+    # A (segments, 2m) view holding each row's index, backed by one row of memory.
+    rows = np.broadcast_to(np.arange(segments)[:, None], (segments, 2 * m))
+    groups = {}
+    for group, piece_m, ka, kb in pieces(rows, m, k_tile):
+        r0, r1 = int(group[0, 0]), int(group[-1, 0]) + 1
+        assert piece_m == m
+        assert np.array_equal(group[:, 0], np.arange(r0, r1))
+        assert (r1 - r0) * (kb - ka) <= cap
+        assert (ka - 1) % min(k_tile, cap) == 0
+        groups.setdefault((r0, r1), []).append((ka, kb))
+    # The row groups tile the rows, and each group's runs tile k = 1..m/4.
+    assert tile(sorted(groups), 0, segments)
+    assert all(tile(sorted(ks), 1, m // 4 + 1) for ks in groups.values())

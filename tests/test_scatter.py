@@ -109,7 +109,7 @@ class RecordingPool:
 
 @pytest.mark.parametrize("n, s, workers, block, expected", [
     (1 << 12, 4, 1, 96, 43),        # 42 chunks of 6 rows and a last one of 4
-    (1 << 12, 4, 8, BLOCK, 8),      # one block of data, but a chunk per worker
+    (1 << 12, 4, 8, BLOCK, 1),      # one block of data is one chunk at any worker count
     (1 << 12, 4, 1, 64, 64),
     (1 << 12, 8, 1, 64, 16),        # a row of 256 outgrows the block: one row each
 ])
