@@ -4,8 +4,9 @@ A plan fixes one transform configuration: size n, number of radix-2 splits
 s, the derived bin count b = 2**s and bin size m = n/b, the bit-reversal
 bin map, the tile length on which merge pieces are cut, and the worker
 count.  A handle owns the 64-byte-aligned input and scratch buffers for a
-plan plus one private leaf kernel per worker, and is meant to be created
-once and reused for any number of transforms.
+plan plus, per worker, one private leaf kernel and the merge lanes made
+on that worker's first merge piece.  It is meant to be created once and
+reused for any number of transforms.
 
 run_transform is the one place that composes the three stages; the stage
 modules never import one another.  Scatter (stage I) fills the bins of the
@@ -42,8 +43,8 @@ from .errors import (
 )
 from .leaf_dft import LeafKernel, _is_pow2
 from .memory import aligned_empty
-from .parallel import WorkerPool, blocks
-from .recombine import merge_block, pieces
+from .parallel import BLOCK, WorkerPool, blocks
+from .recombine import MergeLanes, merge_block, pieces
 from .scatter import build_scatter_index, scatter
 
 DEFAULT_K_TILE = 64
@@ -117,15 +118,15 @@ def plan_create(
 
 
 class TransformHandle:
-    """Owns the buffers, worker pool, and per-worker leaf kernels of a plan.
+    """Owns the buffers, worker pool, and per-worker lanes of a plan.
 
     Creation allocates the input and scratch buffers as one aligned block
     (one allocation, so creating and closing handles keeps reusing the same
     pages), makes one leaf kernel per worker, starts the pool, and writes
     zeros over both buffers through the pool, so that their pages exist
-    before the first transform.  All of that is reused across transforms.
-    Each thread allocates its merge workspace on its first merge and keeps
-    it, so the calling thread's workspace outlives the handle.
+    before the first transform.  Each worker's merge lanes, for at most
+    min(BLOCK // 8, n // 8) pairs, are made on its first merge piece.  All
+    of that is reused across transforms and freed with the handle.
 
     A handle belongs to one logical owner at a time: it may move between
     threads, but a transform started while another runs raises HandleBusy.
@@ -143,7 +144,8 @@ class TransformHandle:
         self._lock = threading.Lock()
         self._result = self._scratch.view()
         self._result.setflags(write=False)
-        self._kernels = [LeafKernel(plan.binsize) for _ in range(plan.workers)]
+        self._kernels = [LeafKernel(plan.binsize, plan.bins) for _ in range(plan.workers)]
+        self._lanes = [None] * plan.workers
         self._pool = WorkerPool(plan.workers)
         self._finalizer = weakref.finalize(self, WorkerPool.shutdown, self._pool)
         # One chunk per worker: the fill only spreads the pages' first touch.
@@ -200,6 +202,12 @@ def run_transform(handle: TransformHandle) -> np.ndarray:
     def leaves(lo, hi):
         handle.kernel_for_current_worker().transform(buf[lo:hi])
 
+    def merge(rows, m, ka, kb):
+        slot, lanes = pool.current_slot(), handle._lanes
+        if lanes[slot] is None:     # a level holds n/8 pairs, so no piece is larger
+            lanes[slot] = MergeLanes(min(BLOCK // 8, plan.n // 8))
+        merge_block(lanes[slot], rows, m, ka, kb)
+
     if not handle._lock.acquire(blocking=False):
         raise HandleBusy("the handle is already running a transform")
     try:
@@ -208,7 +216,7 @@ def run_transform(handle: TransformHandle) -> np.ndarray:
         m = binsize
         while 2 * m <= plan.n:
             rows = buf.reshape(-1, 2 * m)
-            pool.parallel_for(pieces(rows, m, plan.k_tile), merge_block)
+            pool.parallel_for(pieces(rows, m, plan.k_tile), merge)
             m *= 2
     finally:
         handle._lock.release()

@@ -32,7 +32,8 @@ alone, which is what one call costs beyond its arithmetic; so at 2^12 the
 rows also run about 1.8 times faster once that cost is paid.  bins is
 BLOCK // (4m), at least 1: a call reads k*m floats, writes and rereads a
 lane of k*(m+2) and writes k*m, so it moves at most one block.  That
-gives 8 bins a call at m = 2^12, 2 at 2^14 and 1 from 2^15 up, and it
+gives 8 bins a call at m = 2^12, 2 at 2^14 and 1 from 2^15 up, or the
+bins argument if smaller (a handle passes its plan's bin count); and it
 keeps pocketfft's multi-row scratch small enough that a warm pass over
 2^20 floats takes no page faults at 2^12 and 2^14; calls of 8 bins of
 2^14 take 96 faults each.
@@ -54,11 +55,11 @@ def _is_pow2(v: int) -> bool:
 class LeafKernel:
     """Power-of-two leaf transform; one private instance per worker."""
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, bins: int = BLOCK):
         if not _is_pow2(m) or m < 4:
             raise ValueError(f"leaf kernel needs a power-of-two size >= 4, got {m}")
         self.m = m
-        self.bins = max(1, BLOCK // (4 * m))
+        self.bins = max(1, min(BLOCK // (4 * m), bins))
         # memory.py's live-byte count follows this 1-D array, not its views.
         self._lane = aligned_empty(self.bins * (m // 2 + 1), dtype=np.complex64)
         self._lanes = self._lane.reshape(self.bins, m // 2 + 1)

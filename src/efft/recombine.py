@@ -31,14 +31,13 @@ written into one of its own operands, than on contiguous ones.  Adds,
 subtracts and conjugates round the same on any layout, so they read and
 write the strided views directly.
 
-The in-place hot path runs out of per-thread workspace lanes (twiddles
-and products) and never allocates: concurrent merges would otherwise
+The in-place hot path runs out of the caller's MergeLanes (twiddles and
+products) and never allocates: concurrent merges would otherwise
 serialize on the allocator.  pieces cuts a merge level into pieces and
-merge_block merges one; core.run_transform runs each level as those two,
-and reassemble_pair_inplace runs them on one segment.
+merge_block merges one; core.run_transform runs each level as those two
+on each worker's lanes, and reassemble_pair_inplace runs them on one
+segment with lanes of its own.
 """
-
-import threading
 
 import numpy as np
 
@@ -96,8 +95,8 @@ def reassemble_pair_basic(evens: np.ndarray, odds: np.ndarray, target: np.ndarra
     f[m - 1:h:-1] = np.conjugate(e[1:h] - t)
 
 
-class _MergeWorkspace:
-    """Reusable per-thread lanes for one merge piece of at most cap pairs."""
+class MergeLanes:
+    """Reusable lanes for one merge piece of at most cap pairs; one set per worker."""
 
     def __init__(self, cap: int):
         # base holds 0..cap-1, summed in place so that no second lane is made.
@@ -110,32 +109,21 @@ class _MergeWorkspace:
                                             for _ in range(4))
 
 
-_tls = threading.local()
-
-
-def _workspace() -> _MergeWorkspace:
-    ws = getattr(_tls, "merge_ws", None)
-    if ws is None:
-        ws = _tls.merge_ws = _MergeWorkspace(BLOCK // 8)
-    return ws
-
-
-def merge_block(rows: np.ndarray, m: int, ka: int, kb: int) -> None:
+def merge_block(ws: MergeLanes, rows: np.ndarray, m: int, ka: int, kb: int) -> None:
     """In-place merge of coefficients [ka, kb) and their mirrors in every row.
 
-    rows is an (R, 2m) view whose rows each hold two adjacent packed
-    half-spectra (evens then odds, m slots each), with R * (kb - ka) at
-    most BLOCK // 8.  On the complex view, E_k and O_k are slots k and
-    m/2 + k.  For every k in the range, F_k overwrites E_k and F_{m-k}
-    overwrites O_mu, mu = m/2 - k; for every k below m/4 the mirror pair
-    also runs, F_mu overwriting E_mu and F_{m/2+k} overwriting O_k, so the
-    writes land exactly on the slots the reads came from.  The centre
-    k = m/4 is written by the forward pair alone.  Both products read O
-    before the first write to it.  The piece that starts at ka == 1 also
-    writes the special slots, F_0 and F_m (from the k = 0 terms) and
-    F_{m/2} (from the halves' Nyquist terms).
+    ws is the calling worker's lanes.  rows is an (R, 2m) view whose rows
+    each hold two adjacent packed half-spectra (evens then odds, m slots
+    each), with R * (kb - ka) at most the lanes' cap.  On the complex
+    view, E_k and O_k are slots k and m/2 + k.  For every k in the range,
+    F_k overwrites E_k and F_{m-k} overwrites O_mu, mu = m/2 - k; for
+    every k below m/4 the mirror pair also runs, F_mu overwriting E_mu and
+    F_{m/2+k} overwriting O_k, so the writes land exactly on the slots the
+    reads came from.  The centre k = m/4 is written by the forward pair
+    alone.  Both products read O before the first write to it.  The piece
+    that starts at ka == 1 also writes the special slots, F_0 and F_m
+    (from the k = 0 terms) and F_{m/2} (from the halves' Nyquist terms).
     """
-    ws = _workspace()
     R, L = rows.shape[0], kb - ka
     if R == 1:
         rows = rows[0]  # a 1-D view takes numpy's cheaper one-dimensional loops
@@ -200,12 +188,14 @@ def reassemble_pair_inplace(seg: np.ndarray, m: int, k_tile: int = 64) -> None:
     m must be a power of two >= 4, the half sizes a transform merges, seg
     a writable contiguous float32 buffer of length 2m, and k_tile >= 1, as
     plan_create requires.  The merge runs the pieces of a one-segment level
-    in order, with the same arithmetic as run_transform.
+    in order, with the same arithmetic as run_transform, on lanes for the
+    segment's m/4 pairs that it makes for the call.
     """
     if m < 4 or m & (m - 1):
         raise SizeMismatch(f"need a power-of-two half length m >= 4, got m={m}")
     if k_tile < 1:
         raise InvalidPlan(f"k_tile must be >= 1, got {k_tile}")
     check_lane(seg, 2 * m, "seg", writable=True)
+    ws = MergeLanes(min(BLOCK // 8, m // 4))
     for piece in pieces(seg.reshape(1, 2 * m), m, k_tile):
-        merge_block(*piece)
+        merge_block(ws, *piece)

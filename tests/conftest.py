@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 
+import gc
 import threading
 
 import numpy as np
 import pytest
+
+from efft import memory
+from efft.core import handle_create, run_transform
 
 
 def random_f32(n, seed):
@@ -31,9 +35,64 @@ def naive_even_odd_scatter(x, splits):
     return out
 
 
+def live_bytes():
+    """Aligned bytes live once garbage is collected."""
+    gc.collect()
+    return memory._live_bytes
+
+
+@pytest.fixture(autouse=True)
+def no_aligned_bytes_leak():
+    """Fail any test that leaves more aligned bytes live than it found."""
+    before = live_bytes()
+    yield
+    leaked = live_bytes() - before
+    if leaked > 0:
+        pytest.fail(f"{leaked} aligned bytes live after the test")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def in_fresh_thread(check):
+    """Run check() in a new thread, still alive while check asserts.
+
+    A thread that has never merged holds no state from earlier tests, and
+    one that is still alive has not yet freed anything it keeps per thread.
+    """
+    raised = []
+
+    def main():
+        try:
+            check()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=main)
+    thread.start()
+    thread.join()
+    if raised:
+        raise raised[0]
+
+
+def lane_bytes(plan, x):
+    """Live-byte deltas over one handle's life.
+
+    Returns the bytes that creation, the first run and the second run add,
+    and the bytes still live after close and release.
+    """
+    start = live_bytes()
+    handle = handle_create(plan)
+    handle.data[:] = x
+    marks = [live_bytes()]
+    for _ in range(2):
+        run_transform(handle)
+        marks.append(live_bytes())
+    handle.close()
+    del handle
+    return marks[0] - start, marks[1] - marks[0], marks[2] - marks[1], live_bytes() - start
 
 
 def worker_threads():

@@ -326,11 +326,11 @@ def test_failed_kernel_starts_no_thread(monkeypatch):
     # A kernel whose lane cannot be allocated fails before the pool starts.
     made = []
 
-    def kernel(m):
+    def kernel(m, bins):
         if len(made) == 2:
             raise errors.AllocationFailure("cannot allocate the leaf lane")
         made.append(m)
-        return LeafKernel(m)
+        return LeafKernel(m, bins)
 
     before = worker_threads()
     monkeypatch.setattr(importlib.import_module("efft.core"), "LeafKernel", kernel)

@@ -12,7 +12,7 @@ from efft.parallel import BLOCK
 from efft.recombine import pieces, reassemble_pair_inplace
 from efft.scatter import scatter
 
-from conftest import random_f32
+from conftest import in_fresh_thread, lane_bytes, random_f32
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -99,6 +99,29 @@ def test_scaling_by_a_power_of_two_is_exact(cfg, seed, e):
     scale = np.float32(2.0 ** e)
     out = transform(cfg, x, cfg["workers"])
     assert np.array_equal(transform(cfg, x * scale, cfg["workers"]), out * scale)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(cfg=configs())
+def test_the_handle_owns_every_lane_and_frees_it(cfg):
+    plan = plan_create(cfg["n"], cfg["splits"], cfg["workers"], test_mode=cfg["test_mode"],
+                       k_tile=cfg["k_tile"])
+    n, m, T = plan.n, plan.binsize, plan.workers
+    signal = 4 * (-(-n // 16) * 16 + n)
+    leaf = 8 * max(1, min(BLOCK // (4 * m), plan.bins)) * (m // 2 + 1)
+    merge = 48 * min(BLOCK // 8, n // 8)
+
+    def check():
+        handle, first, second, left = lane_bytes(plan, random_f32(n, 0))
+        assert handle == signal + T * leaf
+        # One set of merge lanes for each worker that ran a merge piece.
+        if plan.splits:
+            assert first % merge == 0 and 1 <= first // merge <= T
+        else:
+            assert first == 0
+        assert second == left == 0
+
+    in_fresh_thread(check)
 
 
 def tile(ranges, start, stop):

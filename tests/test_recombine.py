@@ -12,7 +12,7 @@ from efft.core import PermSpectrum, handle_create, plan_create, run_transform
 from efft.oracle import l2_norm, naive_dft, naive_dft_at, pack_perm
 from efft.parallel import BLOCK
 from efft.recombine import (
-    _MergeWorkspace, _twiddle_lanes, reassemble_pair_basic, reassemble_pair_inplace,
+    MergeLanes, _twiddle_lanes, reassemble_pair_basic, reassemble_pair_inplace,
 )
 
 from conftest import random_f32
@@ -133,7 +133,7 @@ class TestInplaceKernel:
         gc.disable()  # so no unrelated buffer is freed while the lanes are counted
         try:
             before = memory._live_bytes
-            ws = _MergeWorkspace(BLOCK // 8)
+            ws = MergeLanes(BLOCK // 8)
             tracked = memory._live_bytes - before
         finally:
             gc.enable()
